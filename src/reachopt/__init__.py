@@ -9,9 +9,6 @@ trajectory logging.
 """
 
 from .ascent import (
-    ACTIVATION_TOLERANCE,
-    BACKTRACK_LIMIT,
-    BUDGET_SLACK,
     BudgetConstraint,
     Objective,
     TrajectoryRecord,
@@ -27,9 +24,6 @@ from .ascent import (
     write_trace_csv,
 )
 from .cones import (
-    DEFAULT_ITERATIONS,
-    DEFAULT_RESTARTS,
-    FEASIBILITY_TOLERANCE,
     CircularCone,
     CouplingFamily,
     FeasibilityResult,
@@ -41,7 +35,6 @@ from .cones import (
     sample_sphere,
 )
 from .directions import (
-    DEGENERACY_FACTOR,
     DirectionKind,
     DirectionResult,
     first_order_gain,
@@ -60,46 +53,26 @@ from .errors import (
 )
 from .kernels import ResidualReport, RuleKernel, smallest_k_for_error, truncate
 from .operators import (
-    EFFORT_FLOOR,
     ConstraintOperator,
-    EffortValue,
     OperatorField,
     constant_field,
     diag_decay_field,
     mask_field,
     operator_field_from_config,
 )
-from .spectral import (
-    DEFAULT_MAX_SWEEPS,
-    PSD_EIGENVALUE_FLOOR,
-    RELATIVE_RANK_TOLERANCE,
-    SpectralDecomposition,
-    SymmetricMatrix,
-    decompose,
-    reciprocal_outer_sum,
-)
+from .spectral import SpectralDecomposition, SymmetricMatrix, decompose
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVATION_TOLERANCE",
-    "BACKTRACK_LIMIT",
-    "BUDGET_SLACK",
     "BudgetConstraint",
     "CircularCone",
     "ConstraintOperator",
     "CouplingFamily",
-    "DEFAULT_ITERATIONS",
-    "DEFAULT_MAX_SWEEPS",
-    "DEFAULT_RESTARTS",
-    "DEGENERACY_FACTOR",
     "DegenerateDirectionError",
     "DimensionMismatchError",
     "DirectionKind",
     "DirectionResult",
-    "EFFORT_FLOOR",
-    "EffortValue",
-    "FEASIBILITY_TOLERANCE",
     "FeasibilityResult",
     "InadmissibleDirectionError",
     "InfeasibleAtMaxError",
@@ -108,8 +81,6 @@ __all__ = [
     "NotPositiveSemidefiniteError",
     "Objective",
     "OperatorField",
-    "PSD_EIGENVALUE_FLOOR",
-    "RELATIVE_RANK_TOLERANCE",
     "ReachoptError",
     "ResidualReport",
     "RuleKernel",
@@ -133,7 +104,6 @@ __all__ = [
     "phi",
     "phi_curve",
     "quadratic_objective",
-    "reciprocal_outer_sum",
     "rosenbrock_objective",
     "run_ascent",
     "sample_sphere",

@@ -3,10 +3,10 @@
 Each step asks the operator field for the local geometry, computes the
 unit-effort ascent direction, and moves by a fixed step size. When a budget
 constraint is active at the current point and the direction would increase
-the cost, the unnormalized ascent vector is projected onto the cost-level
-halfspace inside the reachable subspace before normalization. Steps that
-would break the budget are retried with halved step sizes; a run halts early
-on a degenerate direction or when backtracking is exhausted.
+the cost, the ascent direction is projected onto the cost-level halfspace
+inside the reachable subspace and renormalized. Steps that would break the
+budget are retried with halved step sizes; a run halts early on a degenerate
+direction or when backtracking is exhausted.
 """
 
 from __future__ import annotations
@@ -17,8 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .directions import DirectionKind, DirectionResult, optimal_direction
-from .errors import DegenerateDirectionError, InfeasibleStartError
+from .directions import (
+    DirectionKind,
+    DirectionResult,
+    _unit_effort_result,
+    optimal_direction,
+)
+from .errors import InfeasibleStartError
 from .operators import ConstraintOperator, OperatorField
 from .spectral import SymmetricMatrix
 
@@ -180,10 +185,36 @@ class TrajectoryRecord:
     metadata: dict | None = None
 
 
-def _budget_state(budget: BudgetConstraint, point: np.ndarray) -> tuple[float, bool]:
-    value = float(budget.cost(point))
-    active = (budget.kappa - value) < ACTIVATION_TOLERANCE * max(1.0, budget.kappa)
-    return value, active
+def _budgeted_direction(
+    operator: ConstraintOperator,
+    grad: np.ndarray,
+    budget: BudgetConstraint,
+    point: np.ndarray,
+    cost_value: float,
+) -> tuple[DirectionResult, bool]:
+    """:func:`feasible_direction` at a point in budget whose cost is known.
+
+    Also returns whether the budget is active there.
+    """
+    active = (budget.kappa - cost_value) < ACTIVATION_TOLERANCE * max(1.0, budget.kappa)
+    base = optimal_direction(operator, grad)
+    if not active or base.kind is DirectionKind.DEGENERATE:
+        return base, active
+
+    normal = np.asarray(budget.cost_gradient(point), dtype=float)
+    outward = float(normal @ base.direction)
+    if outward <= 0.0:
+        return base, active
+
+    # The unit direction is a positive multiple of the pseudoinverse-weighted
+    # gradient, and renormalization removes the scale.
+    restricted = operator.project_onto_image(normal)
+    weight = float(restricted @ restricted)
+    if weight <= 0.0:
+        return base, active
+    projected = base.direction - (outward / weight) * restricted
+    weighted_norm = base.weighted_gradient_norm
+    return _unit_effort_result(operator, grad, projected, weighted_norm), active
 
 
 def feasible_direction(
@@ -196,42 +227,18 @@ def feasible_direction(
 
     Away from the budget boundary this is exactly the unconstrained optimal
     direction. At an active boundary, if that direction would increase the
-    cost, the unnormalized ascent vector is projected onto the halfspace of
-    non-increasing cost inside the reachable subspace and renormalized; a
-    projection with vanishing effort yields a degenerate result.
+    cost, it is projected onto the halfspace of non-increasing cost inside
+    the reachable subspace and renormalized; a projection with vanishing
+    effort yields a degenerate result.
     """
     position = np.asarray(point, dtype=float)
-    grad = np.asarray(gradient, dtype=float)
-    cost_value, active = _budget_state(budget, position)
+    cost_value = float(budget.cost(position))
     if cost_value > budget.kappa + BUDGET_SLACK:
         raise InfeasibleStartError(
             f"cost {cost_value!r} exceeds the budget cap {budget.kappa!r}"
         )
-    base = optimal_direction(operator, grad)
-    if not active or base.kind is DirectionKind.DEGENERATE:
-        return base
-
-    normal = np.asarray(budget.cost_gradient(position), dtype=float)
-    if float(normal @ base.direction) <= 0.0:
-        return base
-
-    raw = operator.pseudoinverse.apply(grad)
-    restricted = operator.project_onto_image(normal)
-    weight = float(restricted @ restricted)
-    if weight <= 0.0:
-        return base
-    projected = raw - (float(normal @ raw) / weight) * restricted
-    try:
-        direction = operator.normalize_effort(projected)
-    except DegenerateDirectionError:
-        return DirectionResult(
-            DirectionKind.DEGENERATE, None, 0.0, base.weighted_gradient_norm
-        )
-    direction.setflags(write=False)
-    gain = float(grad @ direction)
-    return DirectionResult(
-        DirectionKind.OPTIMAL, direction, gain, base.weighted_gradient_norm
-    )
+    grad = np.asarray(gradient, dtype=float)
+    return _budgeted_direction(operator, grad, budget, position, cost_value)[0]
 
 
 def run_ascent(
@@ -248,18 +255,23 @@ def run_ascent(
     Status is ``"completed"`` after the full step budget, ``"degenerate"``
     when no ascent direction remains, and ``"budget-stall"`` when even
     ``BACKTRACK_LIMIT`` halvings of the step cannot keep the cost under the
-    cap.
+    cap. A non-finite ``theta0`` raises ``ValueError``, and one outside the
+    budget raises ``InfeasibleStartError``. The cost is evaluated once per
+    point: an accepted candidate's cost is logged at the next step.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     theta = np.array(theta0, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta0 entries must be finite")
+    cost_value = None
     if budget is not None:
-        start_cost = float(budget.cost(theta))
-        if start_cost > budget.kappa + BUDGET_SLACK:
+        cost_value = float(budget.cost(theta))
+        if cost_value > budget.kappa + BUDGET_SLACK:
             raise InfeasibleStartError(
-                f"starting cost {start_cost!r} exceeds the budget cap {budget.kappa!r}"
+                f"starting cost {cost_value!r} exceeds the budget cap {budget.kappa!r}"
             )
 
     rows: list[TrajectoryStep] = []
@@ -268,58 +280,43 @@ def run_ascent(
         operator = operator_field(theta)
         grad = np.asarray(objective.gradient(theta), dtype=float)
         if budget is None:
-            cost_value, active = None, False
-            result = optimal_direction(operator, grad)
+            result, active = optimal_direction(operator, grad), False
         else:
-            cost_value, active = _budget_state(budget, theta)
-            result = feasible_direction(operator, grad, budget, theta)
+            result, active = _budgeted_direction(operator, grad, budget, theta, cost_value)
 
+        step_size, next_theta, next_cost = 0.0, None, None
         if result.kind is DirectionKind.DEGENERATE:
-            rows.append(
-                TrajectoryStep(
-                    index, theta.copy(), float(objective.evaluate(theta)),
-                    cost_value, result.kind, result.first_order_gain, 0.0, active,
-                )
-            )
             status = "degenerate"
-            break
-
-        eta_eff = eta
-        new_theta = None
-        if budget is None:
-            new_theta = theta + eta_eff * result.direction
+        elif budget is None:
+            step_size, next_theta = eta, theta + eta * result.direction
         else:
+            trial = eta
             for _ in range(BACKTRACK_LIMIT + 1):
-                candidate = theta + eta_eff * result.direction
-                if float(budget.cost(candidate)) <= budget.kappa + BUDGET_SLACK:
-                    new_theta = candidate
+                candidate = theta + trial * result.direction
+                candidate_cost = float(budget.cost(candidate))
+                if candidate_cost <= budget.kappa + BUDGET_SLACK:
+                    step_size, next_theta, next_cost = trial, candidate, candidate_cost
                     break
-                eta_eff *= 0.5
-        if new_theta is None:
-            rows.append(
-                TrajectoryStep(
-                    index, theta.copy(), float(objective.evaluate(theta)),
-                    cost_value, result.kind, result.first_order_gain, 0.0, active,
-                )
-            )
-            status = "budget-stall"
-            break
+                trial *= 0.5
+            else:
+                status = "budget-stall"
 
         rows.append(
             TrajectoryStep(
                 index, theta.copy(), float(objective.evaluate(theta)),
-                cost_value, result.kind, result.first_order_gain, eta_eff, active,
+                cost_value, result.kind, result.first_order_gain, step_size, active,
             )
         )
-        theta = new_theta
+        if next_theta is None:
+            break
+        theta, cost_value = next_theta, next_cost
 
-    final_cost = None if budget is None else float(budget.cost(theta))
     return TrajectoryRecord(
         steps=rows,
         status=status,
         final_point=theta,
         final_objective=float(objective.evaluate(theta)),
-        final_cost=final_cost,
+        final_cost=cost_value,
         metadata=metadata,
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io
 from .ascent import budget_from_config, objective_from_config, run_ascent, write_trace_csv
-from .cones import find_gamma_star, phi_curve
+from .cones import DEFAULT_RESTARTS, find_gamma_star, phi_curve
 from .directions import optimal_direction
 from .errors import ReachoptError
 from .kernels import smallest_k_for_error, truncate
@@ -22,7 +22,7 @@ from .operators import ConstraintOperator, operator_field_from_config
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _cmd_direction(args) -> int:
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr = sub.add_parser("threshold", help="compatibility threshold by bisection")
     p_thr.add_argument("--cones", required=True, help="cone family JSON file")
     p_thr.add_argument("--tol", type=float, required=True, help="bracket width target")
-    p_thr.add_argument("--restarts", type=int, default=64)
+    p_thr.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p_thr.add_argument("--seed", type=int, default=0)
     p_thr.set_defaults(func=_cmd_threshold)
 

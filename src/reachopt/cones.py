@@ -43,6 +43,11 @@ def _unit(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
+def _angles(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Angles between unit points (rows) and unit axes (rows), in radians."""
+    return np.arccos(np.clip(points @ axes.T, -1.0, 1.0))
+
+
 @dataclass(frozen=True)
 class CircularCone:
     """All vectors within ``half_angle`` radians of the (unit) axis."""
@@ -72,18 +77,10 @@ class CircularCone:
 
     def angle_to(self, vector) -> float:
         """Angle between a nonzero vector and the axis, in radians."""
-        vec = np.asarray(vector, dtype=float)
-        unit = _unit(vec)
-        return float(np.arccos(np.clip(unit @ self.axis, -1.0, 1.0)))
+        return float(_angles(_unit(np.asarray(vector, dtype=float)), self.axis))
 
     def contains(self, vector, tol: float = FEASIBILITY_TOLERANCE) -> bool:
         return self.angle_to(vector) <= self.half_angle + tol
-
-    def enlarged(self, gamma: float) -> "CircularCone":
-        """Cone with half-angle ``min(half_angle + gamma, pi/2)``."""
-        if gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
-        return CircularCone(self.axis, min(self.half_angle + gamma, HALF_PI))
 
 
 @dataclass(frozen=True)
@@ -123,13 +120,9 @@ class CouplingFamily:
         base = np.array([cone.half_angle for cone in self.base_cones])
         return np.minimum(base + gamma, HALF_PI)
 
-    def enlarged_cones(self, gamma: float) -> tuple[CircularCone, ...]:
-        return tuple(cone.enlarged(gamma) for cone in self.base_cones)
-
     def max_violation(self, vector, gamma: float) -> float:
         """Worst angular violation of a nonzero vector across enlarged cones."""
-        unit = _unit(np.asarray(vector, dtype=float))
-        angles = np.arccos(np.clip(self.axes_matrix() @ unit, -1.0, 1.0))
+        angles = _angles(_unit(np.asarray(vector, dtype=float)), self.axes_matrix())
         return float(np.max(angles - self.enlarged_half_angles(gamma)))
 
 
@@ -187,7 +180,7 @@ def _pair_balance_points(
     for i in range(count):
         for j in range(i + 1, count):
             ci, cj = axes[i], axes[j]
-            spread = float(np.arccos(np.clip(ci @ cj, -1.0, 1.0)))
+            spread = float(_angles(ci, cj))
             if spread < _ANGLE_EPS:
                 points.append(ci.copy())
                 continue
@@ -205,8 +198,7 @@ def _pair_balance_points(
 
 
 def _violations(x: np.ndarray, axes: np.ndarray, half_angles: np.ndarray) -> np.ndarray:
-    angles = np.arccos(np.clip(x @ axes.T, -1.0, 1.0))
-    return angles - half_angles[None, :]
+    return _angles(x, axes) - half_angles[None, :]
 
 
 def _subgradient_step(
@@ -379,27 +371,16 @@ def sample_sphere(dim: int, count: int, rng) -> np.ndarray:
     return points / norms[:, None]
 
 
-def _membership_angles(family: CouplingFamily, points: np.ndarray) -> np.ndarray:
-    return np.arccos(np.clip(points @ family.axes_matrix().T, -1.0, 1.0))
-
-
 def phi(
     family: CouplingFamily, gamma: float, samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the intersection's normalized spherical measure.
 
     Returns the fraction of uniform unit-sphere samples lying inside every
-    enlarged cone, together with its binomial standard error. Deterministic
-    for a fixed seed.
+    enlarged cone, together with its binomial standard error: one point of
+    :func:`phi_curve`. Deterministic for a fixed seed.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    points = sample_sphere(family.dim, samples, seed)
-    angles = _membership_angles(family, points)
-    inside = np.all(angles <= family.enlarged_half_angles(gamma)[None, :], axis=1)
-    estimate = float(np.mean(inside))
-    std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
-    return estimate, std_error
+    return phi_curve(family, [gamma], samples, seed)[0][1:]
 
 
 def phi_curve(
@@ -419,7 +400,7 @@ def phi_curve(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     points = sample_sphere(family.dim, samples, seed)
-    angles = _membership_angles(family, points)
+    angles = _angles(points, family.axes_matrix())
     curve = []
     for gamma in grid:
         inside = np.all(angles <= family.enlarged_half_angles(gamma)[None, :], axis=1)

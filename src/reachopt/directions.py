@@ -15,12 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    DimensionMismatchError,
-    InadmissibleDirectionError,
-)
+from .errors import DegenerateDirectionError, InadmissibleDirectionError
 from .operators import ConstraintOperator
+from .spectral import _as_vector
 
 #: Degeneracy test: the operator-gradient product must exceed this relative level.
 DEGENERACY_FACTOR = 1e-12
@@ -48,13 +45,17 @@ class DirectionResult:
     weighted_gradient_norm: float
 
 
-def _coerce_gradient(operator: ConstraintOperator, gradient) -> np.ndarray:
-    vec = np.asarray(gradient, dtype=float)
-    if vec.shape != (operator.dim,):
-        raise DimensionMismatchError(
-            f"gradient of shape {vec.shape} does not match dimension {operator.dim}"
-        )
-    return vec
+def _unit_effort_result(
+    operator: ConstraintOperator, grad: np.ndarray, vector, weighted_norm: float
+) -> DirectionResult:
+    """Normalize ``vector`` to unit effort; degenerate if its effort vanishes."""
+    try:
+        direction = operator.normalize_effort(vector)
+    except DegenerateDirectionError:
+        return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm)
+    direction.setflags(write=False)
+    gain = float(grad @ direction)
+    return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm)
 
 
 def optimal_direction(operator: ConstraintOperator, gradient) -> DirectionResult:
@@ -65,22 +66,20 @@ def optimal_direction(operator: ConstraintOperator, gradient) -> DirectionResult
     gradient is (numerically) a kernel direction and the degenerate branch
     applies: every reachable direction has zero first-order payoff.
     """
-    grad = _coerce_gradient(operator, gradient)
-    weighted = operator.pseudoinverse.apply(grad)
+    grad = _as_vector(gradient, operator.dim, "gradient")
+    spectrum = operator.spectrum
+    basis, values, rank = spectrum.eigenvectors, spectrum.eigenvalues, spectrum.rank
+    # One projection c = U'g gives both the pseudoinverse action
+    # U_r (c_r / lambda_r) and the norm of the operator action, |lambda * c|.
+    coeffs = basis.T @ grad
+    weighted = basis[:, :rank] @ (coeffs[:rank] / values[:rank])
     weighted_norm = math.sqrt(max(float(grad @ weighted), 0.0))
 
-    mapped = float(np.linalg.norm(operator.apply(grad)))
+    mapped = float(np.linalg.norm(values * coeffs))
     threshold = DEGENERACY_FACTOR * operator.operator_norm * float(np.linalg.norm(grad))
     if mapped <= threshold:
         return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm)
-
-    try:
-        direction = operator.normalize_effort(weighted)
-    except DegenerateDirectionError:
-        return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm)
-    direction.setflags(write=False)
-    gain = float(grad @ direction)
-    return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm)
+    return _unit_effort_result(operator, grad, weighted, weighted_norm)
 
 
 def first_order_gain(operator: ConstraintOperator, gradient, direction) -> float:
@@ -91,7 +90,7 @@ def first_order_gain(operator: ConstraintOperator, gradient, direction) -> float
     InadmissibleDirectionError
         If the direction is not reachable with unit effort within 1e-6.
     """
-    grad = _coerce_gradient(operator, gradient)
+    grad = _as_vector(gradient, operator.dim, "gradient")
     if not operator.is_admissible(direction, tol=_GAIN_ADMISSIBILITY_TOL):
         raise InadmissibleDirectionError(
             "direction is not a reachable unit-effort variation"

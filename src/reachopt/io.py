@@ -24,12 +24,14 @@ def save_matrix(matrix: SymmetricMatrix, path) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    """Read a plain JSON array of numbers."""
+    """Read a plain JSON array of finite numbers."""
     with open(path) as handle:
         payload = json.load(handle)
     vec = np.asarray(payload, dtype=float)
     if vec.ndim != 1:
         raise ValueError(f"expected a flat JSON array in {path}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"non-finite entries in {path}")
     return vec
 
 

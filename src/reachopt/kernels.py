@@ -18,8 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .spectral import SpectralDecomposition, SymmetricMatrix, reciprocal_outer_sum
+from .spectral import (
+    SpectralDecomposition,
+    SymmetricMatrix,
+    _as_vector,
+    reciprocal_outer_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,8 @@ class RuleKernel:
         closed form as the sum over omitted modes, which is what the report
         carries.
         """
-        grad = np.asarray(gradient, dtype=float)
         spectrum = self.source_spectrum
-        if grad.shape != (spectrum.dim,):
-            raise DimensionMismatchError(
-                f"gradient of shape {grad.shape} does not match dimension {spectrum.dim}"
-            )
+        grad = _as_vector(gradient, spectrum.dim, "gradient")
         compressed = self.kernel_matrix.apply(grad)
         residual = spectrum.pseudoinverse().apply(grad) - compressed
 

@@ -10,29 +10,17 @@ are constant in the point, but any pure callable works.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, DimensionMismatchError
-from .spectral import SpectralDecomposition, SymmetricMatrix, decompose
+from .errors import DegenerateDirectionError
+from .spectral import SpectralDecomposition, SymmetricMatrix, _as_vector, decompose
 
 #: Directions with effort at or below this have no unit-effort representative.
 EFFORT_FLOOR = 1e-14
 
 OperatorField = Callable[[np.ndarray], "ConstraintOperator"]
-
-
-@dataclass(frozen=True)
-class EffortValue:
-    """Nonnegative quadratic-form value; negative rounding noise is clamped to 0."""
-
-    value: float
-    unit: str = "squared-effort"
-
-    def __float__(self) -> float:
-        return self.value
 
 
 class ConstraintOperator:
@@ -80,35 +68,25 @@ class ConstraintOperator:
     def project_onto_image(self, vector) -> np.ndarray:
         return self._spectrum.project_onto_image(vector)
 
-    def _coerce(self, direction) -> np.ndarray:
-        vec = np.asarray(direction, dtype=float)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"direction of shape {vec.shape} does not match dimension {self.dim}"
-            )
-        return vec
-
-    def effort(self, direction) -> EffortValue:
+    def effort(self, direction) -> float:
         """Quadratic form of the operator: the squared cost of a variation.
 
-        Zero exactly when the direction lies in the kernel (up to rounding).
+        Zero exactly when the direction lies in the kernel (up to rounding);
+        negative rounding noise is clamped to 0.
         """
-        vec = self._coerce(direction)
-        value = float(vec @ self._matrix.entries @ vec)
-        if value < 0.0:
-            value = 0.0
-        return EffortValue(value)
+        vec = _as_vector(direction, self.dim, "direction")
+        return max(float(vec @ self._matrix.entries @ vec), 0.0)
 
     def is_admissible(self, direction, tol: float = 1e-8) -> bool:
         """True iff the direction is reachable and has unit effort, within tol."""
-        vec = self._coerce(direction)
+        vec = _as_vector(direction, self.dim, "direction")
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise ValueError("the zero vector is never admissible")
         off_image = float(np.linalg.norm(vec - self.project_onto_image(vec)))
         if off_image > tol * norm:
             return False
-        return abs(float(self.effort(vec)) - 1.0) <= tol
+        return abs(self.effort(vec) - 1.0) <= tol
 
     def normalize_effort(self, direction, effort_floor: float = EFFORT_FLOOR) -> np.ndarray:
         """Rescale a direction to unit effort.
@@ -119,8 +97,8 @@ class ConstraintOperator:
             If the effort is at or below ``effort_floor``, i.e. the direction
             is (numerically) a kernel direction.
         """
-        vec = self._coerce(direction)
-        value = float(self.effort(vec))
+        vec = _as_vector(direction, self.dim, "direction")
+        value = self.effort(vec)
         if value <= effort_floor:
             raise DegenerateDirectionError(
                 f"effort {value:.3e} is below the floor {effort_floor:.1e}"

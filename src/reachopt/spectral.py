@@ -45,6 +45,16 @@ def _as_square_array(entries) -> np.ndarray:
     return arr
 
 
+def _as_vector(values, dim: int, name: str) -> np.ndarray:
+    """``values`` as a float vector of shape ``(dim,)``; ``name`` labels the error."""
+    vec = np.asarray(values, dtype=float)
+    if vec.shape != (dim,):
+        raise DimensionMismatchError(
+            f"{name} of shape {vec.shape} does not match dimension {dim}"
+        )
+    return vec
+
+
 class SymmetricMatrix:
     """Real symmetric matrix.
 
@@ -71,12 +81,7 @@ class SymmetricMatrix:
 
     def apply(self, vector) -> np.ndarray:
         """Matrix-vector product."""
-        vec = np.asarray(vector, dtype=float)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"vector of shape {vec.shape} does not match dimension {self.dim}"
-            )
-        return self._entries @ vec
+        return self._entries @ _as_vector(vector, self.dim, "vector")
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt(np.sum(self._entries * self._entries)))
@@ -147,11 +152,7 @@ class SpectralDecomposition:
 
     def project_onto_image(self, vector) -> np.ndarray:
         """Orthogonal projection onto the span of the retained eigenvectors."""
-        vec = np.asarray(vector, dtype=float)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"vector of shape {vec.shape} does not match dimension {self.dim}"
-            )
+        vec = _as_vector(vector, self.dim, "vector")
         basis = self.eigenvectors[:, : self.rank]
         return basis @ (basis.T @ vec)
 

@@ -216,6 +216,32 @@ class TestRunAscent:
                 1e-2,
             )
 
+    def test_non_finite_start_raises(self):
+        objective = quadratic_objective(np.eye(2), [0.0, 0.0])
+        field = constant_field(np.eye(2))
+        with pytest.raises(ValueError):
+            run_ascent(objective, field, None, [np.nan, 0.0], 10, 1e-2)
+
+    def test_cost_evaluated_once_per_step(self):
+        base = spherical_budget(1.0)
+        calls = []
+
+        def cost(point):
+            calls.append(1)
+            return base.cost(point)
+
+        budget = BudgetConstraint(cost, base.cost_gradient, base.kappa)
+        objective = quadratic_objective(np.eye(2), [0.3, -0.2])
+        record = run_ascent(
+            objective, constant_field(np.eye(2)), budget, np.zeros(2), 50, 1e-3
+        )
+        assert record.status == "completed"
+        assert all(s.step_size == 1e-3 for s in record.steps)
+        assert len(calls) == 51
+        for step in record.steps:
+            assert step.cost_value == base.cost(step.point)
+        assert record.final_cost == base.cost(record.final_point)
+
     def test_parameter_validation(self):
         objective = quadratic_objective(np.eye(2), [0.0, 0.0])
         field = constant_field(np.eye(2))

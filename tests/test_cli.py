@@ -56,6 +56,16 @@ class TestDirectionCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_non_finite_gradient_fails_cleanly(self, matrix_file, tmp_path, capsys):
+        gradient = tmp_path / "g.json"
+        gradient.write_text("[NaN, 1.0]")
+        code = main(["direction", "--operator", matrix_file, "--gradient", str(gradient)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
 class TestCompressCommand:
     def test_fixed_k(self, matrix_file, gradient_file, capsys):
         assert main(
@@ -159,6 +169,26 @@ class TestOptimizeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["final_cost"] <= 1.0 + 1e-8
         assert np.allclose(payload["final_theta"], [0.8, 0.6], atol=1e-3)
+
+    def test_non_finite_result_fails_cleanly(self, tmp_path, capsys):
+        # One huge step overflows the payoff; Infinity is not valid JSON.
+        config = {
+            "objective": {"kind": "quadratic", "matrix": [[0.0, 0.0], [0.0, 0.0]],
+                          "linear": [1e150, 0.0]},
+            "operator_field": {"kind": "constant",
+                               "matrix": {"dim": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}},
+            "budget": None,
+            "theta0": [0.0, 0.0],
+            "steps": 1,
+            "eta": 1e300,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        with np.errstate(over="ignore"):
+            assert main(["optimize", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

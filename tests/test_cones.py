@@ -64,11 +64,11 @@ class TestCircularCone:
         assert made.angle_to([0.0, 1.0, 0.0]) == pytest.approx(math.pi / 2)
 
     def test_enlarged_clamps(self):
-        made = cone([1.0, 0.0], 80.0)
-        grown = made.enlarged(math.radians(30.0))
-        assert grown.half_angle == pytest.approx(math.pi / 2)
+        family = CouplingFamily((cone([1.0, 0.0], 80.0),))
+        grown = family.enlarged_half_angles(math.radians(30.0))
+        assert grown[0] == pytest.approx(math.pi / 2)
         with pytest.raises(ValueError):
-            made.enlarged(-0.1)
+            family.enlarged_half_angles(-0.1)
 
 
 class TestCouplingFamily:
@@ -84,9 +84,6 @@ class TestCouplingFamily:
         family = CouplingFamily((cone([1.0, 0.0, 0.0], 25.0), cone([0.0, 1.0, 0.0], 40.0)))
         base = [c.half_angle for c in family.base_cones]
         assert np.allclose(family.enlarged_half_angles(0.0), base)
-        for original, enlarged in zip(family.base_cones, family.enlarged_cones(0.0)):
-            assert np.array_equal(original.axis, enlarged.axis)
-            assert original.half_angle == enlarged.half_angle
 
     def test_nesting_by_sampled_membership(self):
         rng = np.random.default_rng(9)
@@ -103,7 +100,7 @@ class TestCouplingFamily:
 
     def test_convexity_spot_check(self):
         rng = np.random.default_rng(10)
-        made = cone([0.0, 0.0, 1.0], 35.0).enlarged(0.3)
+        made = CircularCone(np.array([0.0, 0.0, 1.0]), math.radians(35.0) + 0.3)
         for _ in range(200):
             first = sample_sphere(3, 1, rng)[0]
             second = sample_sphere(3, 1, rng)[0]
@@ -278,6 +275,10 @@ class TestPhi:
         family = CouplingFamily((cone([1.0, 0.0], 45.0),))
         with pytest.raises(ValueError):
             phi(family, 0.0, 0, seed=1)
+
+    def test_is_one_point_of_phi_curve(self):
+        family = random_family(np.random.default_rng(13), 3, 2)
+        assert phi(family, 0.4, 5_000, 2) == phi_curve(family, [0.4], 5_000, 2)[0][1:]
 
 
 class TestPhiCurve:

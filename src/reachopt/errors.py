@@ -16,7 +16,7 @@ class NotPositiveSemidefiniteError(ReachoptError, ValueError):
 
 
 class JacobiConvergenceError(ReachoptError, RuntimeError):
-    """The cyclic Jacobi sweeps ran out before the off-diagonal mass vanished."""
+    """The round-robin Jacobi sweeps ran out before the off-diagonal mass vanished."""
 
     def __init__(self, off_diagonal_residual: float, sweeps: int) -> None:
         super().__init__(

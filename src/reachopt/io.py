@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -11,10 +12,28 @@ from .cones import CircularCone, CouplingFamily
 from .spectral import SymmetricMatrix
 
 
+def _names_file(load):
+    """Re-raise what a malformed file makes ``load`` raise as ``ValueError`` naming it."""
+
+    @functools.wraps(load)
+    def checked(path):
+        try:
+            return load(path)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+    return checked
+
+
+@_names_file
 def load_matrix(path) -> SymmetricMatrix:
     """Read ``{"dim": n, "entries": [[...], ...]}``."""
     with open(path) as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError('expected a JSON object with "entries"')
     return SymmetricMatrix.from_dict(payload)
 
 
@@ -23,15 +42,16 @@ def save_matrix(matrix: SymmetricMatrix, path) -> None:
         json.dump(matrix.to_dict(), handle)
 
 
+@_names_file
 def load_vector(path) -> np.ndarray:
     """Read a plain JSON array of finite numbers."""
     with open(path) as handle:
         payload = json.load(handle)
     vec = np.asarray(payload, dtype=float)
     if vec.ndim != 1:
-        raise ValueError(f"expected a flat JSON array in {path}")
+        raise ValueError("expected a flat JSON array")
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"non-finite entries in {path}")
+        raise ValueError("non-finite entries")
     return vec
 
 
@@ -40,12 +60,13 @@ def save_vector(vector, path) -> None:
         json.dump([float(x) for x in np.asarray(vector, dtype=float)], handle)
 
 
+@_names_file
 def load_cone_family(path) -> CouplingFamily:
     """Read a JSON list of ``{"axis": [...], "half_angle_deg": x}`` entries."""
     with open(path) as handle:
         payload = json.load(handle)
     if not isinstance(payload, list):
-        raise ValueError(f"expected a JSON list of cones in {path}")
+        raise ValueError("expected a JSON list of cones")
     cones = [
         CircularCone(
             axis=np.asarray(item["axis"], dtype=float),

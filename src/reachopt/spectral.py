@@ -1,10 +1,10 @@
 """Dense symmetric eigendecomposition, pseudoinversion, and spectral projections.
 
-Everything in this module is deterministic: the eigensolver performs cyclic
-Jacobi sweeps in a fixed order, eigenvalues are ordered descending with a
-stable sort, and each eigenvector's first nonzero component is flipped to be
-positive. Decompositions of the same matrix are therefore bit-identical
-across runs.
+Everything in this module is deterministic: the eigensolver performs
+round-robin Jacobi sweeps in a fixed order using elementwise arithmetic only,
+eigenvalues are ordered descending with a stable sort, and each eigenvector's
+first nonzero component is flipped to be positive. Decompositions of the same
+matrix are therefore bit-identical across runs and BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -127,12 +127,18 @@ class SpectralDecomposition:
         Number of eigenvalues strictly above ``rank_tolerance``.
     rank_tolerance : float
         The resolved cut used to count the rank.
+    sweeps : int
+        Jacobi sweeps run; 0 for a diagonal input.
+    off_diagonal_norm : float
+        Frobenius norm of the off-diagonal part left after the last sweep.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank: int
     rank_tolerance: float
+    sweeps: int
+    off_diagonal_norm: float
 
     @property
     def dim(self) -> int:
@@ -189,53 +195,78 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return math.sqrt(float(np.sum(off * off)))
 
 
+def _round_robin_destinations(m: int) -> np.ndarray:
+    """Next-round slots of the first and second row of each pair (2i, 2i+1).
+
+    Slot 0 stays; the others step along 2 -> 4 -> ... -> m-2 -> m-1 -> m-3 -> ...
+    -> 1 -> 2 (Brent and Luk's circle method), so in m - 1 rounds every two
+    indices share a pair once and every row returns to its starting slot.
+    """
+    cycle = np.concatenate((np.arange(2, m, 2), np.arange(m - 1, 0, -2)))
+    destination = np.zeros(m, dtype=np.intp)
+    destination[cycle] = np.roll(cycle, -1)
+    return destination.reshape(-1, 2).T
+
+
 def _jacobi_eigensystem(
     matrix: np.ndarray, max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int, float]:
     n = matrix.shape[0]
-    a = matrix.copy()
-    vectors = np.eye(n)
+    m = n + n % 2
+    width = m + n
+    # Each row holds a row of the working matrix (an odd n gets a zero pad row
+    # and column, which never rotate) followed by one eigenvector.
+    state = np.zeros((m, width))
+    state[:n, :n] = matrix
+    state[:, m:] = np.eye(m, n)
     scale = float(np.sqrt(np.sum(matrix * matrix)))
     target = _CONVERGENCE_FACTOR * max(1.0, scale)
     # Elements this small cannot keep the off-diagonal norm above target.
     skip = target / max(n * n, 1)
+    first = np.arange(0, m, 2)
+    to_first, to_second = moved = _round_robin_destinations(m)
+    # Flat positions of (p, p), (q, q), (p, q) per pair, and of (p, q), (q, p) once moved.
+    pair_entries = first * width + np.stack((first, first + width + 1, first + 1))
+    rotated_entries = moved * width + moved[::-1]
 
-    off = _off_diagonal_norm(a)
+    def rotate_rows(rows: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # Elementwise only: no BLAS call, so the bits do not depend on threads.
+        p, q = rows[0::2], rows[1::2]
+        out = np.empty(rows.shape)
+        out[to_first] = c * p - s * q
+        out[to_second] = s * p + c * q
+        return out
+
+    off = _off_diagonal_norm(state[:, :m])
     sweeps = 0
-    while off > target:
-        if sweeps >= max_sweeps:
-            raise JacobiConvergenceError(off, sweeps)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+    with np.errstate(invalid="ignore"):
+        while off > target:
+            if sweeps >= max_sweeps:
+                raise JacobiConvergenceError(off, sweeps)
+            for _ in range(m - 1):
+                app, aqq, apq = state.ravel()[pair_entries]
+                rotate = np.abs(apq) > skip
+                # t = tan of the angle (<= pi/4) zeroing apq; any 0/0 is in a skipped pair.
+                diff, twice = aqq - app, 2.0 * apq
+                t = np.copysign(1.0, diff) * twice / (np.abs(diff) + np.hypot(twice, diff))
+                t = np.where(rotate, t, 0.0)[:, None]
+                c = 1.0 / np.hypot(1.0, t)
                 s = t * c
+                state = rotate_rows(state, c, s)
+                # The matrix is symmetric, so G^T A G = G^T (G^T A)^T.
+                state[:, :m] = rotate_rows(state[:, :m].T, c, s)
+                state.ravel()[rotated_entries[:, rotate]] = 0.0
+            sweeps += 1
+            off = _off_diagonal_norm(state[:, :m])
+    return state.diagonal()[:n].copy(), state[:n, m:].T.copy(), sweeps, off
 
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
 
-                vec_p = vectors[:, p].copy()
-                vec_q = vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
-        sweeps += 1
-        off = _off_diagonal_norm(a)
-    return np.diag(a).copy(), vectors
+def _canonicalize_signs(vectors: np.ndarray) -> None:
+    """Negate each column whose first entry above ``_SIGN_TOLERANCE`` is negative."""
+    significant = np.abs(vectors) > _SIGN_TOLERANCE
+    lead = vectors[significant.argmax(axis=0), np.arange(vectors.shape[1])]
+    flip = significant.any(axis=0) & (lead < 0.0)
+    vectors[:, flip] = -vectors[:, flip]
 
 
 def decompose(
@@ -243,7 +274,10 @@ def decompose(
     rank_tolerance: float | None = None,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> SpectralDecomposition:
-    """Eigendecompose a symmetric PSD matrix with cyclic Jacobi rotations.
+    """Eigendecompose a symmetric PSD matrix with round-robin Jacobi rotations.
+
+    Each sweep runs m - 1 rounds, m being the dimension rounded up to even;
+    a round applies m/2 disjoint rotations at once.
 
     Parameters
     ----------
@@ -269,7 +303,7 @@ def decompose(
     if rank_tolerance is not None and rank_tolerance < 0:
         raise ValueError("rank_tolerance must be nonnegative")
 
-    values, vectors = _jacobi_eigensystem(sym.entries, max_sweeps)
+    values, vectors, sweeps, off = _jacobi_eigensystem(sym.entries, max_sweeps)
 
     order = np.argsort(-values, kind="stable")
     values = values[order]
@@ -281,12 +315,7 @@ def decompose(
             f"eigenvalue {smallest:.6e} is below the PSD tolerance {PSD_EIGENVALUE_FLOOR}"
         )
     values[values < 0.0] = 0.0
-
-    for j in range(vectors.shape[1]):
-        column = vectors[:, j]
-        nonzero = np.flatnonzero(np.abs(column) > _SIGN_TOLERANCE)
-        if nonzero.size and column[nonzero[0]] < 0.0:
-            vectors[:, j] = -column
+    _canonicalize_signs(vectors)
 
     if rank_tolerance is None:
         resolved_tol = RELATIVE_RANK_TOLERANCE * float(values[0])
@@ -301,4 +330,6 @@ def decompose(
         eigenvectors=vectors,
         rank=rank,
         rank_tolerance=resolved_tol,
+        sweeps=sweeps,
+        off_diagonal_norm=off,
     )

@@ -65,6 +65,24 @@ class TestDirectionCommand:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    def test_bare_list_operator_fails_cleanly(self, gradient_file, tmp_path, capsys):
+        operator = tmp_path / "op.json"
+        operator.write_text("[[1, 0], [0, 1]]")
+        code = main(["direction", "--operator", str(operator), "--gradient", gradient_file])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "op.json" in captured.err
+
+    def test_object_gradient_fails_cleanly(self, matrix_file, tmp_path, capsys):
+        gradient = tmp_path / "g.json"
+        gradient.write_text(json.dumps({"x": 1.0}))
+        code = main(["direction", "--operator", matrix_file, "--gradient", str(gradient)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "g.json" in captured.err
+
 
 class TestCompressCommand:
     def test_fixed_k(self, matrix_file, gradient_file, capsys):
@@ -110,6 +128,17 @@ class TestThresholdCommand:
         assert payload["bracket"][0] <= payload["gamma_star"]
         assert payload["tolerance"] <= 1e-4
         assert len(payload["witness"]) == 3
+
+    def test_null_half_angle_fails_cleanly(self, tmp_path, capsys):
+        cones = tmp_path / "cones.json"
+        cones.write_text(json.dumps([
+            {"axis": [1.0, 0.0, 0.0], "half_angle_deg": None},
+            {"axis": [0.0, 1.0, 0.0], "half_angle_deg": 20.0},
+        ]))
+        assert main(["threshold", "--cones", str(cones), "--tol", "1e-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "cones.json" in captured.err
 
 
 class TestPhiCurveCommand:

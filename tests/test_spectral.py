@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from reachopt import (
     SymmetricMatrix,
     decompose,
 )
+from reachopt.spectral import _canonicalize_signs, _jacobi_eigensystem, _round_robin_destinations
 from conftest import random_gram_psd, random_orthogonal, random_psd
 from oracles import eigenvalues_by_charpoly, moore_penrose_residuals
 
@@ -131,6 +137,115 @@ class TestDecompose:
         dec = decompose(np.zeros((3, 3)))
         assert dec.rank == 0
         assert np.array_equal(dec.eigenvalues, np.zeros(3))
+
+    def test_diagonal_input_needs_no_sweep(self):
+        dec = decompose(np.diag([3.0, 1.0, 2.0]))
+        assert dec.sweeps == 0
+        assert dec.off_diagonal_norm == 0.0
+
+    def test_counters_at_64(self):
+        matrix = random_psd(np.random.default_rng(5), 64, 64)
+        dec = decompose(matrix)
+        target = 1e-14 * max(1.0, np.linalg.norm((matrix + matrix.T) / 2.0))
+        assert 1 <= dec.sweeps <= 20
+        assert dec.off_diagonal_norm <= target
+
+
+def _signs_by_column(vectors):
+    """Reference: the per-column loop that ``_canonicalize_signs`` vectorizes."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        column = out[:, j]
+        nonzero = np.flatnonzero(np.abs(column) > 1e-12)
+        if nonzero.size and column[nonzero[0]] < 0.0:
+            out[:, j] = -column
+    return out
+
+
+class TestRoundRobinJacobi:
+    @pytest.mark.parametrize("m", [2, 4, 6, 34, 64])
+    def test_schedule_meets_every_pair_once(self, m):
+        to_first, to_second = _round_robin_destinations(m)
+        slots = np.arange(m)
+        met = set()
+        for _ in range(m - 1):
+            met.update(frozenset(pair) for pair in slots.reshape(-1, 2).tolist())
+            moved = np.empty(m, dtype=int)
+            moved[to_first], moved[to_second] = slots[0::2], slots[1::2]
+            slots = moved
+        assert len(met) == m * (m - 1) // 2
+        assert np.array_equal(slots, np.arange(m))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 33])
+    def test_odd_and_even_sizes(self, dim):
+        matrix = random_psd(np.random.default_rng(dim), dim, dim)
+        dec = decompose(matrix)
+        assert dec.eigenvectors.shape == (dim, dim)
+        expected = np.sort(np.linalg.eigvalsh(matrix))[::-1]
+        assert np.max(np.abs(dec.eigenvalues - expected)) <= 1e-12 * expected[0]
+        assert np.max(np.abs(dec.reconstruct() - matrix)) <= 1e-12 * expected[0]
+        assert np.max(np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(dim))) <= 1e-13
+
+    def test_matches_lapack_at_64(self):
+        matrix = random_psd(np.random.default_rng(64), 64, 64)
+        dec = decompose(matrix)
+        norm = np.linalg.norm(matrix, 2)
+        expected = np.sort(np.linalg.eigvalsh(matrix))[::-1]
+        assert np.max(np.abs(dec.eigenvalues - expected)) <= 1e-12 * norm
+        gram = dec.eigenvectors.T @ dec.eigenvectors
+        assert np.linalg.norm(gram - np.eye(64), np.inf) <= 1e-13
+
+    def test_pad_stays_out_of_rank_and_kernel(self):
+        # An odd dimension is padded to even inside the solver.
+        matrix = random_gram_psd(np.random.default_rng(33), 33, 20)
+        dec = decompose(matrix)
+        assert dec.eigenvalues.shape == (33,)
+        assert dec.rank == 20
+        kernel = dec.eigenvectors[:, dec.rank :]
+        assert kernel.shape == (33, 13)
+        assert np.max(np.abs(kernel.T @ kernel - np.eye(13))) <= 1e-13
+        assert np.max(np.abs(matrix @ kernel)) <= 1e-12 * np.linalg.norm(matrix, 2)
+
+    def test_sign_canonicalization_matches_column_loop(self):
+        basis = random_orthogonal(np.random.default_rng(8), 8)
+        values = np.array([3.0, 3.0, 3.0, 1.0, 1.0, 0.5, 0.0, 0.0])
+        _, vectors, _, _ = _jacobi_eigensystem((basis * values) @ basis.T, 100)
+        vectors[:, 2] = -vectors[:, 2]
+        vectors[0, 1] = 1e-13  # below the tolerance, so the next entry decides
+        vectors[:, 5] = 0.0  # no entry above the tolerance: left alone
+        expected = _signs_by_column(vectors)
+        _canonicalize_signs(vectors)
+        assert np.array_equal(vectors, expected)
+        assert np.array_equal(np.signbit(vectors), np.signbit(expected))
+
+
+_HASH_SCRIPT = """
+import hashlib
+
+import numpy as np
+from reachopt import decompose
+
+for dim in (1, 2, 7, 33, 64):
+    factor = np.random.default_rng(dim).integers(-3, 4, size=(dim + 1, dim))
+    dec = decompose((factor.T @ factor).astype(float))
+    digest = hashlib.sha256(dec.eigenvalues.tobytes() + dec.eigenvectors.tobytes())
+    print(dim, digest.hexdigest())
+"""
+
+
+def test_bits_identical_across_blas_threads():
+    # Integer B^T B is exact without BLAS, so only the solver could differ.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", _HASH_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.append(result.stdout)
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]
 
 
 class TestPseudoinverse:

@@ -13,12 +13,12 @@ import sys
 import numpy as np
 
 from . import io
-from .ascent import budget_from_config, objective_from_config, run_ascent, write_trace_csv
+from .ascent import run_ascent, write_trace_csv
 from .cones import DEFAULT_RESTARTS, find_gamma_star, phi_curve
 from .directions import optimal_direction
 from .errors import ReachoptError
 from .kernels import smallest_k_for_error, truncate
-from .operators import ConstraintOperator, operator_field_from_config
+from .operators import ConstraintOperator
 
 
 def _emit_json(payload: dict) -> None:
@@ -95,21 +95,9 @@ def _cmd_phi_curve(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    with open(args.config) as handle:
-        config = json.load(handle)
-    objective = objective_from_config(config["objective"])
-    operator_field = operator_field_from_config(config["operator_field"])
-    budget = budget_from_config(config.get("budget"))
-    record = run_ascent(
-        objective,
-        operator_field,
-        budget,
-        np.asarray(config["theta0"], dtype=float),
-        int(config["steps"]),
-        float(config["eta"]),
-        metadata=config.get("metadata"),
-    )
-    out = config.get("out")
+    run = io.load_run_config(args.config)
+    out = run.pop("out")
+    record = run_ascent(**run)
     if out is not None:
         write_trace_csv(record, out)
     _emit_json(
@@ -146,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--sweep", help="also write an error-vs-k CSV to this path")
     p_comp.set_defaults(func=_cmd_compress)
 
-    p_thr = sub.add_parser("threshold", help="compatibility threshold by bisection")
+    p_thr = sub.add_parser(
+        "threshold", help="compatibility threshold: one minimax solve, bisection past a clamp"
+    )
     p_thr.add_argument("--cones", required=True, help="cone family JSON file")
     p_thr.add_argument("--tol", type=float, required=True, help="bracket width target")
     p_thr.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)

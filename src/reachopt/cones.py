@@ -5,9 +5,9 @@ coupling family enlarges every cone's half-angle additively with a coupling
 level ``gamma``, clamped at a right angle, so that level 0 is the identity
 and the enlarged cones nest as the level grows. Feasibility of the coupled
 intersection is decided on the unit sphere by minimizing the worst angular
-violation; the infimum level at which the intersection becomes nonempty is
-found by bisection, which is valid because feasibility is monotone in the
-level.
+violation. Every violation falls one-for-one with the level until its cone
+clamps, so the infimum level at which the intersection becomes nonempty is
+the level-0 minimax residual; only a clamp on the way calls for bisection.
 """
 
 from __future__ import annotations
@@ -142,12 +142,12 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection output for the compatibility threshold.
+    """Bracket on the compatibility threshold.
 
-    ``gamma_star`` is the certified-feasible upper end of the final bracket;
-    the lower end was certified infeasible by the solver (for a family already
-    feasible at level 0 the bracket collapses to ``(0, 0)``). The witness is a
-    unit vector inside every cone enlarged at the upper end.
+    ``gamma_star`` is the certified-feasible upper end of the bracket; no level
+    below the lower end is feasible, by the one-for-one fall of the violations
+    with the level or, after bisection, by the solver. A family feasible at level
+    0 gets ``(0, 0)``. The witness is inside every cone enlarged at the upper end.
     """
 
     gamma_star: float
@@ -318,11 +318,12 @@ def find_gamma_star(
     *,
     seed: int = 0,
 ) -> ThresholdResult:
-    """Bisect for the smallest coupling level with a nonempty intersection.
+    """Smallest coupling level with a nonempty intersection, from one minimax solve.
 
-    Monotonicity of feasibility in the level makes bisection on
-    ``[0, pi/2]`` valid. The returned bracket has width at most ``tol``; its
-    upper end is certified feasible and reported as ``gamma_star``.
+    No level below the level-0 minimax residual ``r`` is feasible: violations
+    fall one-for-one with the level. If the level-0 minimizer is feasible at
+    ``r`` (so whenever ``r + max h_i <= pi/2``), the bracket is
+    ``(max(0, r - tol/2), r)``; else a cone clamps and ``[r, pi/2]`` is bisected.
 
     Raises
     ------
@@ -332,20 +333,19 @@ def find_gamma_star(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    at_zero = is_feasible(family, 0.0, restarts, seed=seed)
-    if at_zero.feasible:
-        return ThresholdResult(
-            gamma_star=0.0,
-            bracket=(0.0, 0.0),
-            witness=at_zero.witness,
-            tolerance=0.0,
-        )
-    at_max = is_feasible(family, HALF_PI, restarts, seed=seed)
-    if not at_max.feasible:
-        raise InfeasibleAtMaxError(at_max.residual)
-
-    low, high = 0.0, HALF_PI
-    witness = at_max.witness
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    residual, witness = _minimize_max_violation(
+        family, 0.0, restarts, DEFAULT_ITERATIONS, seed
+    )
+    if residual <= FEASIBILITY_TOLERANCE:
+        return ThresholdResult(0.0, (0.0, 0.0), witness, 0.0)
+    low, high = max(0.0, residual - tol / 2.0), residual
+    if family.max_violation(witness, residual) > FEASIBILITY_TOLERANCE:
+        at_max = is_feasible(family, HALF_PI, restarts, seed=seed)
+        if not at_max.feasible:
+            raise InfeasibleAtMaxError(at_max.residual)
+        low, high, witness = residual, HALF_PI, at_max.witness
     while high - low > tol:
         mid = 0.5 * (low + high)
         result = is_feasible(family, mid, restarts, seed=seed)

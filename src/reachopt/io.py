@@ -1,4 +1,4 @@
-"""JSON readers and writers for the CLI file formats."""
+"""JSON readers for the CLI file formats."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 
+from .ascent import budget_from_config, objective_from_config
 from .cones import CircularCone, CouplingFamily
+from .operators import operator_field_from_config
 from .spectral import SymmetricMatrix
 
 
@@ -21,7 +23,7 @@ def _names_file(load):
             return load(path)
         except KeyError as exc:
             raise ValueError(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
     return checked
@@ -37,11 +39,6 @@ def load_matrix(path) -> SymmetricMatrix:
     return SymmetricMatrix.from_dict(payload)
 
 
-def save_matrix(matrix: SymmetricMatrix, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(matrix.to_dict(), handle)
-
-
 @_names_file
 def load_vector(path) -> np.ndarray:
     """Read a plain JSON array of finite numbers."""
@@ -53,11 +50,6 @@ def load_vector(path) -> np.ndarray:
     if not np.all(np.isfinite(vec)):
         raise ValueError("non-finite entries")
     return vec
-
-
-def save_vector(vector, path) -> None:
-    with open(path, "w") as handle:
-        json.dump([float(x) for x in np.asarray(vector, dtype=float)], handle)
 
 
 @_names_file
@@ -77,13 +69,24 @@ def load_cone_family(path) -> CouplingFamily:
     return CouplingFamily(tuple(cones))
 
 
-def save_cone_family(family: CouplingFamily, path) -> None:
-    payload = [
-        {
-            "axis": cone.axis.tolist(),
-            "half_angle_deg": math.degrees(cone.half_angle),
-        }
-        for cone in family.base_cones
-    ]
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+@_names_file
+def load_run_config(path) -> dict:
+    """Read an ``optimize`` configuration and build what it describes.
+
+    Returns the keyword arguments of :func:`reachopt.ascent.run_ascent`
+    together with ``"out"``, the optional trace CSV path.
+    """
+    with open(path) as handle:
+        config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ValueError("expected a JSON object")
+    return {
+        "objective": objective_from_config(config["objective"]),
+        "operator_field": operator_field_from_config(config["operator_field"]),
+        "budget": budget_from_config(config.get("budget")),
+        "theta0": np.asarray(config["theta0"], dtype=float),
+        "steps": int(config["steps"]),
+        "eta": float(config["eta"]),
+        "metadata": config.get("metadata"),
+        "out": config.get("out"),
+    }

@@ -83,9 +83,6 @@ class SymmetricMatrix:
         """Matrix-vector product."""
         return self._entries @ _as_vector(vector, self.dim, "vector")
 
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(self._entries * self._entries)))
-
     @classmethod
     def from_diagonal(cls, diagonal) -> "SymmetricMatrix":
         diag = np.asarray(diagonal, dtype=float)

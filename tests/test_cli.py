@@ -224,3 +224,27 @@ class TestOptimizeCommand:
         config_path.write_text(json.dumps({"objective": {"kind": "quadratic"}}))
         assert main(["optimize", "--config", str(config_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_list_config_fails_cleanly(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps([1, 2]))
+        assert main(["optimize", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: ")
+
+    @pytest.mark.parametrize("section", ["objective", "operator_field", "budget"])
+    def test_non_object_section_fails_cleanly(self, section, tmp_path, capsys):
+        config = {
+            "objective": {"kind": "quadratic", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                          "linear": [0.3, -0.2]},
+            "operator_field": {"kind": "constant",
+                               "matrix": {"dim": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}},
+            "budget": None,
+            "theta0": [0.0, 0.0],
+            "steps": 5,
+            "eta": 0.001,
+        }
+        config[section] = [1]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["optimize", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: ")

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reachopt import cones
 from reachopt import (
     CircularCone,
     CouplingFamily,
@@ -30,6 +33,27 @@ def planar_axis(angle_deg, dim=3):
     angle = math.radians(angle_deg)
     axis[0], axis[1] = math.cos(angle), math.sin(angle)
     return axis
+
+
+def count_solves(monkeypatch):
+    """Record the level of every minimax solve the cones module makes."""
+    levels = []
+    solve = cones._minimize_max_violation
+
+    def counted(family, gamma, *args):
+        levels.append(gamma)
+        return solve(family, gamma, *args)
+
+    monkeypatch.setattr(cones, "_minimize_max_violation", counted)
+    return levels
+
+
+def two_cone_family(seed, dim, half1, half2, spread):
+    """Two cones whose axes are ``spread`` apart, in a seeded random orientation."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    second = math.cos(spread) * basis[:, 0] + math.sin(spread) * basis[:, 1]
+    return CouplingFamily((CircularCone(basis[:, 0], half1), CircularCone(second, half2)))
 
 
 def random_family(rng, dim, count, max_half_angle_deg=80.0):
@@ -174,6 +198,24 @@ class TestIsFeasible:
             for earlier, later in zip(verdicts, verdicts[1:]):
                 assert (not earlier) or later
 
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 5),
+        half1=st.floats(0.05, 0.6),
+        half2=st.floats(0.05, 0.6),
+        gap=st.floats(0.01, 0.4),
+        fraction=st.floats(0.0, 0.99),
+    )
+    def test_residual_falls_one_for_one_below_the_clamp(
+        self, seed, dim, half1, half2, gap, fraction
+    ):
+        family = two_cone_family(seed, dim, half1, half2, half1 + half2 + 2.0 * gap)
+        at_zero = is_feasible(family, 0.0, restarts=16).residual
+        gamma = fraction * min(at_zero, math.pi / 2 - max(half1, half2))
+        at_gamma = is_feasible(family, gamma, restarts=16).residual
+        assert at_gamma == pytest.approx(at_zero - gamma, abs=1e-12)
+
 
 class TestFindGammaStar:
     def test_identical_cones_threshold_zero(self):
@@ -237,6 +279,53 @@ class TestFindGammaStar:
             assert result.gamma_star == pytest.approx(expected, abs=2e-4)
             assert family.max_violation(result.witness, result.bracket[1]) <= 1e-9
             checked += 1
+
+    def test_one_solve_below_the_clamp(self, monkeypatch):
+        tol = 1e-4
+        cases = [
+            (
+                CouplingFamily((cone(planar_axis(0.0), 20.0), cone(planar_axis(60.0), 20.0))),
+                math.radians(20.0),
+                math.radians(20.0),
+            )
+        ]
+        rng = np.random.default_rng(77)
+        while len(cases) < 6:
+            half1, half2 = rng.uniform(0.05, 0.5, size=2)
+            answer = rng.uniform(0.02, 0.4)
+            if max(half1, half2) + answer < math.pi / 2 - 0.05:
+                spread = half1 + half2 + 2.0 * answer
+                family = two_cone_family(len(cases), 2 + len(cases) % 4, half1, half2, spread)
+                cases.append((family, half1, half2))
+        levels = count_solves(monkeypatch)
+        for family, half1, half2 in cases:
+            spread = angle_between(family.base_cones[0].axis, family.base_cones[1].axis)
+            levels.clear()
+            result = find_gamma_star(family, tol)
+            assert levels == [0.0]
+            assert result.gamma_star == pytest.approx(
+                two_cone_gamma_star(spread, half1, half2), abs=1e-12
+            )
+            lo, hi = result.bracket
+            assert 0.0 < hi - lo <= tol
+            assert family.max_violation(result.witness, hi) <= 1e-9
+
+    def test_clamped_family_bisects_above_the_residual(self, monkeypatch):
+        # The 80 degree cone opens to a half-space at level 10 degrees; the
+        # 10 degree cone then reaches it at level 150 - 90 - 10 = 50 degrees,
+        # well above the level-0 residual of (150 - 80 - 10) / 2 = 30 degrees.
+        tol = 1e-4
+        family = CouplingFamily(
+            (cone(planar_axis(0.0), 80.0), cone(planar_axis(150.0), 10.0))
+        )
+        levels = count_solves(monkeypatch)
+        result = find_gamma_star(family, tol)
+        assert result.gamma_star == pytest.approx(math.radians(50.0), abs=2e-4)
+        lo, hi = result.bracket
+        assert 0.0 < hi - lo <= tol
+        assert family.max_violation(result.witness, hi) <= 1e-9
+        assert len(levels) > 2
+        assert min(levels[1:]) >= math.radians(30.0) - 1e-9
 
 
 class TestPhi:

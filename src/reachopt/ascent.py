@@ -17,13 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .directions import (
-    DirectionKind,
-    DirectionResult,
-    _unit_effort_result,
-    optimal_direction,
-)
-from .errors import InfeasibleStartError
+from .directions import DirectionKind, DirectionResult, optimal_direction
+from .errors import DegenerateDirectionError, InfeasibleStartError
 from .operators import ConstraintOperator, OperatorField
 from .spectral import SymmetricMatrix
 
@@ -34,6 +29,12 @@ ACTIVATION_TOLERANCE = 1e-8
 BUDGET_SLACK = 1e-8
 
 BACKTRACK_LIMIT = 20
+
+#: ``validate_gradient`` rejects a relative finite-difference mismatch above this.
+GRADIENT_CHECK_TOLERANCE = 1e-5
+
+#: Central finite-difference step of ``validate_gradient``.
+FINITE_DIFFERENCE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,16 +92,11 @@ def objective_from_config(config: dict) -> Objective:
     raise ValueError(f"unknown objective kind: {kind!r}")
 
 
-def validate_gradient(
-    objective: Objective,
-    points,
-    rel_tol: float = 1e-5,
-    step: float = 1e-6,
-) -> float:
+def validate_gradient(objective: Objective, points) -> float:
     """Check the gradient callback against central finite differences.
 
     Returns the worst relative mismatch over the probe points and raises
-    ``ValueError`` if it exceeds ``rel_tol``.
+    ``ValueError`` if it exceeds ``GRADIENT_CHECK_TOLERANCE``.
     """
     worst = 0.0
     for point in points:
@@ -109,15 +105,15 @@ def validate_gradient(
         numeric = np.zeros_like(x)
         for i in range(x.size):
             bump = np.zeros_like(x)
-            bump[i] = step
+            bump[i] = FINITE_DIFFERENCE_STEP
             numeric[i] = (
                 objective.evaluate(x + bump) - objective.evaluate(x - bump)
-            ) / (2.0 * step)
+            ) / (2.0 * FINITE_DIFFERENCE_STEP)
         scale = max(1.0, float(np.linalg.norm(grad)))
         worst = max(worst, float(np.linalg.norm(grad - numeric)) / scale)
-    if worst > rel_tol:
+    if worst > GRADIENT_CHECK_TOLERANCE:
         raise ValueError(
-            f"gradient mismatch {worst:.3e} exceeds tolerance {rel_tol:.1e}"
+            f"gradient mismatch {worst:.3e} exceeds tolerance {GRADIENT_CHECK_TOLERANCE:.1e}"
         )
     return worst
 
@@ -214,7 +210,13 @@ def _budgeted_direction(
         return base, active
     projected = base.direction - (outward / weight) * restricted
     weighted_norm = base.weighted_gradient_norm
-    return _unit_effort_result(operator, grad, projected, weighted_norm), active
+    try:
+        direction = operator.normalize_effort(projected)
+    except DegenerateDirectionError:
+        return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm), active
+    direction.setflags(write=False)
+    gain = float(grad @ direction)
+    return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm), active
 
 
 def feasible_direction(
@@ -253,10 +255,12 @@ def run_ascent(
     """Run fixed-step ascent from ``theta0`` and log every iteration.
 
     Status is ``"completed"`` after the full step budget, ``"degenerate"``
-    when no ascent direction remains, and ``"budget-stall"`` when even
+    when no ascent direction remains, ``"budget-stall"`` when even
     ``BACKTRACK_LIMIT`` halvings of the step cannot keep the cost under the
-    cap. A non-finite ``theta0`` raises ``ValueError``, and one outside the
-    budget raises ``InfeasibleStartError``. The cost is evaluated once per
+    cap, and ``"non-finite"`` when the gradient callback returns a non-finite
+    entry: the run stops at that iterate without logging or leaving it. A
+    non-finite ``theta0`` raises ``ValueError``, and one outside the budget
+    raises ``InfeasibleStartError``. The cost is evaluated once per
     point: an accepted candidate's cost is logged at the next step.
     """
     if steps < 0:
@@ -277,8 +281,11 @@ def run_ascent(
     rows: list[TrajectoryStep] = []
     status = "completed"
     for index in range(steps):
-        operator = operator_field(theta)
         grad = np.asarray(objective.gradient(theta), dtype=float)
+        if not np.all(np.isfinite(grad)):
+            status = "non-finite"
+            break
+        operator = operator_field(theta)
         if budget is None:
             result, active = optimal_direction(operator, grad), False
         else:

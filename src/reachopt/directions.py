@@ -2,9 +2,10 @@
 
 The central fact: among all reachable unit-effort variations, the payoff
 gradient is maximized along the pseudoinverse-weighted gradient, and the
-maximal gain equals the effort-weighted norm of that vector. When the
-operator annihilates the gradient, no reachable direction has positive
-first-order payoff and the result is degenerate.
+maximal gain equals the effort-weighted norm of that vector. Both come from
+the coefficients c = U_r'g of the gradient on the retained modes. One
+relative test decides degeneracy: when the operator annihilates the gradient
+on those modes, no reachable direction has positive first-order payoff.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .errors import DegenerateDirectionError, InadmissibleDirectionError
 from .operators import ConstraintOperator
 from .spectral import _as_vector
 
-#: Degeneracy test: the operator-gradient product must exceed this relative level.
+#: The one degeneracy rule: the operator-gradient product over the retained
+#: modes must exceed this level relative to the largest eigenvalue times |g|.
 DEGENERACY_FACTOR = 1e-12
 
 _GAIN_ADMISSIBILITY_TOL = 1e-6
@@ -45,41 +47,35 @@ class DirectionResult:
     weighted_gradient_norm: float
 
 
-def _unit_effort_result(
-    operator: ConstraintOperator, grad: np.ndarray, vector, weighted_norm: float
-) -> DirectionResult:
-    """Normalize ``vector`` to unit effort; degenerate if its effort vanishes."""
-    try:
-        direction = operator.normalize_effort(vector)
-    except DegenerateDirectionError:
-        return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm)
-    direction.setflags(write=False)
-    gain = float(grad @ direction)
-    return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm)
-
-
 def optimal_direction(operator: ConstraintOperator, gradient) -> DirectionResult:
     """Unit-effort direction maximizing first-order payoff among reachable ones.
 
     Returns an optimal result whenever the operator-gradient product is
     nonzero at the relative level ``DEGENERACY_FACTOR``; otherwise the
     gradient is (numerically) a kernel direction and the degenerate branch
-    applies: every reachable direction has zero first-order payoff.
+    applies: every reachable direction has zero first-order payoff. A
+    gradient whose squared effort norm leaves the floating-point range is
+    degenerate too, so no finite gradient yields a non-finite direction.
     """
     grad = _as_vector(gradient, operator.dim, "gradient")
-    spectrum = operator.spectrum
-    basis, values, rank = spectrum.eigenvectors, spectrum.eigenvalues, spectrum.rank
-    # One projection c = U'g gives both the pseudoinverse action
-    # U_r (c_r / lambda_r) and the norm of the operator action, |lambda * c|.
+    spectrum, rank = operator.spectrum, operator.reachable_dim
+    values, basis = spectrum.eigenvalues[:rank], spectrum.eigenvectors[:, :rank]
+    # One projection c = U_r'g gives the operator action |lambda * c|, the
+    # pseudoinverse action U_r (c / lambda) and its effort c . (c / lambda);
+    # dividing by the root of the latter leaves unit effort by construction.
     coeffs = basis.T @ grad
-    weighted = basis[:, :rank] @ (coeffs[:rank] / values[:rank])
-    weighted_norm = math.sqrt(max(float(grad @ weighted), 0.0))
+    scaled = coeffs / values
+    effort = float(coeffs @ scaled)
+    weighted_norm = math.sqrt(effort)
 
     mapped = float(np.linalg.norm(values * coeffs))
     threshold = DEGENERACY_FACTOR * operator.operator_norm * float(np.linalg.norm(grad))
-    if mapped <= threshold:
+    if not (mapped > threshold and 0.0 < effort < math.inf):
         return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm)
-    return _unit_effort_result(operator, grad, weighted, weighted_norm)
+    direction = basis @ (scaled / weighted_norm)
+    direction.setflags(write=False)
+    gain = float(grad @ direction)
+    return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm)
 
 
 def first_order_gain(operator: ConstraintOperator, gradient, direction) -> float:

@@ -56,34 +56,26 @@ class RuleKernel:
     op_error: float
     source_spectrum: SpectralDecomposition
 
-    @property
-    def omitted_modes(self) -> range:
-        """Storage indices of the modes the truncation dropped."""
-        return range(0, self.source_spectrum.rank - self.k)
-
-    def apply(self, gradient) -> np.ndarray:
-        return self.kernel_matrix.apply(gradient)
-
     def apply_with_residual(self, gradient) -> tuple[np.ndarray, ResidualReport]:
         """Apply the kernel and report exactly what the truncation dropped.
 
-        The residual vector is the difference between the full pseudoinverse
-        action and the kernel action; its squared norm is also computed in
-        closed form as the sum over omitted modes, which is what the report
-        carries.
+        Everything comes from the scaled coefficients c / lambda of the
+        gradient in the retained eigenbasis: the kept modes give the kernel
+        action, the omitted ones the residual vector (the full pseudoinverse
+        action minus the kernel action) and the per-mode terms (c / lambda)^2,
+        whose sum is the squared residual norm.
         """
         spectrum = self.source_spectrum
         grad = _as_vector(gradient, spectrum.dim, "gradient")
-        compressed = self.kernel_matrix.apply(grad)
-        residual = spectrum.pseudoinverse().apply(grad) - compressed
-
-        contributions = []
-        for index in self.omitted_modes:
-            component = float(spectrum.eigenvectors[:, index] @ grad)
-            value = float(spectrum.eigenvalues[index])
-            contributions.append((index, (component * component) / (value * value)))
-        norm_sq = float(sum(term for _, term in contributions))
-        return compressed, ResidualReport(residual, norm_sq, tuple(contributions))
+        rank = spectrum.rank
+        basis = spectrum.eigenvectors[:, :rank]
+        scaled = (basis.T @ grad) / spectrum.eigenvalues[:rank]
+        split = rank - self.k
+        compressed = basis[:, split:] @ scaled[split:]
+        residual = basis[:, :split] @ scaled[:split]
+        terms = scaled[:split] * scaled[:split]
+        contributions = tuple(zip(range(split), terms.tolist()))
+        return compressed, ResidualReport(residual, float(terms.sum()), contributions)
 
 
 def truncate(decomposition: SpectralDecomposition, k: int) -> RuleKernel:

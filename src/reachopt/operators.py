@@ -88,20 +88,20 @@ class ConstraintOperator:
             return False
         return abs(self.effort(vec) - 1.0) <= tol
 
-    def normalize_effort(self, direction, effort_floor: float = EFFORT_FLOOR) -> np.ndarray:
+    def normalize_effort(self, direction) -> np.ndarray:
         """Rescale a direction to unit effort.
 
         Raises
         ------
         DegenerateDirectionError
-            If the effort is at or below ``effort_floor``, i.e. the direction
+            If the effort is at or below ``EFFORT_FLOOR``, i.e. the direction
             is (numerically) a kernel direction.
         """
         vec = _as_vector(direction, self.dim, "direction")
         value = self.effort(vec)
-        if value <= effort_floor:
+        if value <= EFFORT_FLOOR:
             raise DegenerateDirectionError(
-                f"effort {value:.3e} is below the floor {effort_floor:.1e}"
+                f"effort {value:.3e} is below the floor {EFFORT_FLOOR:.1e}"
             )
         return vec / math.sqrt(value)
 

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw a fixed example sequence, so the suite stays deterministic.
+settings.register_profile("reachopt", derandomize=True, deadline=None)
+settings.load_profile("reachopt")
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from reachopt import (
     ConstraintOperator,
     DirectionKind,
     InfeasibleStartError,
+    Objective,
     budget_from_config,
     constant_field,
     feasible_direction,
@@ -221,6 +222,22 @@ class TestRunAscent:
         field = constant_field(np.eye(2))
         with pytest.raises(ValueError):
             run_ascent(objective, field, None, [np.nan, 0.0], 10, 1e-2)
+
+    @pytest.mark.parametrize("budget", [None, spherical_budget(1.0)])
+    def test_non_finite_gradient_stops_the_run(self, budget):
+        # The gradient turns NaN past x = 0.015: two steps of 0.01 are taken,
+        # and the run stops at the third iterate without leaving it.
+        def gradient(point):
+            return np.array([np.nan if point[0] > 0.015 else 1.0, 0.0])
+
+        objective = Objective(lambda point: float(point[0]), gradient)
+        record = run_ascent(
+            objective, constant_field(np.eye(2)), budget, np.zeros(2), 10, 1e-2
+        )
+        assert record.status == "non-finite"
+        assert len(record.steps) == 2
+        assert np.array_equal(record.final_point, [0.02, 0.0])
+        assert record.final_objective == 0.02
 
     def test_cost_evaluated_once_per_step(self):
         base = spherical_budget(1.0)

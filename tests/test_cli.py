@@ -140,6 +140,22 @@ class TestThresholdCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "cones.json" in captured.err
 
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            {"axis": [1.0, 0.0, 0.0], "half_angle_deg": math.nan},
+            {"axis": [math.inf, 0.0, 0.0], "half_angle_deg": 20.0},
+        ],
+        ids=["nan-half-angle", "infinite-axis"],
+    )
+    def test_non_finite_cone_fails_cleanly(self, cone, tmp_path, capsys):
+        cones = tmp_path / "cones.json"
+        cones.write_text(json.dumps([cone, {"axis": [0.0, 1.0, 0.0], "half_angle_deg": 20.0}]))
+        assert main(["threshold", "--cones", str(cones), "--tol", "1e-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cones}: ")
+
 
 class TestPhiCurveCommand:
     def test_csv_output(self, cones_file, capsys):

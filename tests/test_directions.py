@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachopt import (
     ConstraintOperator,
@@ -78,6 +80,67 @@ class TestOptimalDirection:
         base = optimal_direction(op, gradient)
         scaled = optimal_direction(op, 37.5 * gradient)
         assert np.linalg.norm(base.direction - scaled.direction) <= 1e-10
+
+    @settings(max_examples=50)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_scale_covariance_over_two_hundred_decades(self, seed, exponent):
+        generator = np.random.default_rng(seed)
+        dim = int(generator.integers(2, 7))
+        op = ConstraintOperator(random_psd(generator, dim, int(generator.integers(1, dim + 1))))
+        gradient = generator.standard_normal(dim)
+        scale = 10.0**exponent
+        base = optimal_direction(op, gradient)
+        scaled = optimal_direction(op, scale * gradient)
+        assert base.kind is scaled.kind is DirectionKind.OPTIMAL
+        assert np.max(np.abs(scaled.direction - base.direction)) <= 1e-12
+        assert scaled.first_order_gain == pytest.approx(
+            scale * base.first_order_gain, rel=1e-12
+        )
+        assert scaled.weighted_gradient_norm == pytest.approx(
+            scale * base.weighted_gradient_norm, rel=1e-12
+        )
+
+    def test_huge_eigenvalue_spread_keeps_the_direction(self):
+        # The rank cut drops the unit mode; the direction has effort
+        # 1e20 * (1e-10)^2 = 1 even though its own scale is 1e-10.
+        op = ConstraintOperator(np.diag([1e20, 1.0]))
+        result = optimal_direction(op, [1.0, 1.0])
+        assert result.kind is DirectionKind.OPTIMAL
+        assert np.allclose(result.direction, [1e-10, 0.0], rtol=1e-12, atol=0.0)
+
+    def test_small_gradient_is_not_degenerate(self):
+        result = optimal_direction(ConstraintOperator(np.eye(2)), [1e-7, 0.0])
+        assert result.kind is DirectionKind.OPTIMAL
+        assert result.first_order_gain == pytest.approx(1e-7, rel=1e-12)
+
+    def test_gradient_in_sub_tolerance_modes_is_degenerate(self):
+        # 1.5e-12 falls below the default rank cut, so no retained mode sees
+        # the gradient, although the full operator maps it to 1.5e-12.
+        op = ConstraintOperator(np.diag([1.0, 1.5e-12]))
+        assert op.reachable_dim == 1
+        assert optimal_direction(op, [0.0, 1.0]).kind is DirectionKind.DEGENERATE
+
+    @pytest.mark.parametrize(
+        "diagonal, gradient",
+        [
+            ([1.0, 1.0], [1e-170, 0.0]),
+            ([1e20, 1.0], [1e-160, 0.0]),
+            ([1.0, 1e-9], [0.0, 1e150]),
+        ],
+        ids=["underflow", "underflow-past-the-relative-test", "overflow"],
+    )
+    def test_effort_out_of_floating_range_is_degenerate(self, diagonal, gradient):
+        # The effort norm c . (c / lambda) underflows to 0 or overflows to inf.
+        # In the last two cases the operator-gradient product still passes
+        # the relative test, so the effort itself must be checked; otherwise
+        # the direction would be NaN or zero.
+        with np.errstate(over="ignore"):
+            result = optimal_direction(ConstraintOperator(np.diag(diagonal)), gradient)
+        assert result.kind is DirectionKind.DEGENERATE
+        assert result.direction is None
 
     def test_ray_uniqueness_near_optimum(self, rng):
         op = ConstraintOperator(random_mild_psd(rng, 4, 3))

@@ -123,7 +123,8 @@ class TestApplyWithResidual:
             spectrum = decompose(random_psd(rng, dim, rank))
             k = int(rng.integers(0, rank + 1))
             gradient = rng.standard_normal(dim)
-            _, report = truncate(spectrum, k).apply_with_residual(gradient)
+            kernel = truncate(spectrum, k)
+            compressed, report = kernel.apply_with_residual(gradient)
             explicit = float(report.residual_vector @ report.residual_vector)
             assert report.residual_norm_sq == pytest.approx(
                 explicit, rel=1e-10, abs=1e-12
@@ -131,6 +132,9 @@ class TestApplyWithResidual:
             assert report.residual_norm_sq == pytest.approx(
                 sum(v for _, v in report.per_mode_contributions), rel=1e-10, abs=1e-15
             )
+            full_norm = float(np.linalg.norm(spectrum.pseudoinverse().apply(gradient)))
+            dense = kernel.kernel_matrix.entries @ gradient
+            assert np.linalg.norm(compressed - dense) <= 1e-12 * full_norm
 
     def test_repeated_eigenvalues_residual_identity(self, rng):
         basis = random_orthogonal(rng, 4)

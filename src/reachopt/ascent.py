@@ -6,12 +6,13 @@ constraint is active at the current point and the direction would increase
 the cost, the ascent direction is projected onto the cost-level halfspace
 inside the reachable subspace and renormalized. Steps that would break the
 budget are retried with halved step sizes; a run halts early on a degenerate
-direction or when backtracking is exhausted.
+direction, when backtracking is exhausted, or on a non-finite callback value.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -257,11 +258,15 @@ def run_ascent(
     Status is ``"completed"`` after the full step budget, ``"degenerate"``
     when no ascent direction remains, ``"budget-stall"`` when even
     ``BACKTRACK_LIMIT`` halvings of the step cannot keep the cost under the
-    cap, and ``"non-finite"`` when the gradient callback returns a non-finite
-    entry: the run stops at that iterate without logging or leaving it. A
-    non-finite ``theta0`` raises ``ValueError``, and one outside the budget
-    raises ``InfeasibleStartError``. The cost is evaluated once per
-    point: an accepted candidate's cost is logged at the next step.
+    cap, and ``"non-finite"`` when a callback returns a non-finite value. A
+    non-finite gradient stops the run at that iterate without logging or
+    leaving it; a non-finite cost or objective at a candidate stops it at the
+    current iterate, logged with step size 0, so no logged row or final field
+    holds a non-finite value. A non-finite ``theta0``, or a non-finite
+    objective or cost there, raises ``ValueError``, and a start outside the
+    budget raises ``InfeasibleStartError``. The objective and the cost are
+    evaluated once per point: an accepted candidate's values are logged at
+    the next step.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -270,9 +275,14 @@ def run_ascent(
     theta = np.array(theta0, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta0 entries must be finite")
+    value = float(objective.evaluate(theta))
+    if not math.isfinite(value):
+        raise ValueError(f"objective at theta0 is not finite: {value!r}")
     cost_value = None
     if budget is not None:
         cost_value = float(budget.cost(theta))
+        if not math.isfinite(cost_value):
+            raise ValueError(f"cost at theta0 is not finite: {cost_value!r}")
         if cost_value > budget.kappa + BUDGET_SLACK:
             raise InfeasibleStartError(
                 f"starting cost {cost_value!r} exceeds the budget cap {budget.kappa!r}"
@@ -301,28 +311,35 @@ def run_ascent(
             for _ in range(BACKTRACK_LIMIT + 1):
                 candidate = theta + trial * result.direction
                 candidate_cost = float(budget.cost(candidate))
+                if not math.isfinite(candidate_cost):
+                    status = "non-finite"
+                    break
                 if candidate_cost <= budget.kappa + BUDGET_SLACK:
                     step_size, next_theta, next_cost = trial, candidate, candidate_cost
                     break
                 trial *= 0.5
             else:
                 status = "budget-stall"
+        if next_theta is not None:
+            next_value = float(objective.evaluate(next_theta))
+            if not math.isfinite(next_value):
+                status, step_size, next_theta = "non-finite", 0.0, None
 
         rows.append(
             TrajectoryStep(
-                index, theta.copy(), float(objective.evaluate(theta)),
+                index, theta.copy(), value,
                 cost_value, result.kind, result.first_order_gain, step_size, active,
             )
         )
         if next_theta is None:
             break
-        theta, cost_value = next_theta, next_cost
+        theta, value, cost_value = next_theta, next_value, next_cost
 
     return TrajectoryRecord(
         steps=rows,
         status=status,
         final_point=theta,
-        final_objective=float(objective.evaluate(theta)),
+        final_objective=value,
         final_cost=cost_value,
         metadata=metadata,
     )

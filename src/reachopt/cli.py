@@ -98,6 +98,10 @@ def _cmd_optimize(args) -> int:
     run = io.load_run_config(args.config)
     out = run.pop("out")
     record = run_ascent(**run)
+    if record.status == "non-finite":
+        raise ValueError(
+            f"a callback returned a non-finite value after {len(record.steps)} logged steps"
+        )
     if out is not None:
         write_trace_csv(record, out)
     _emit_json(
@@ -139,8 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_thr.add_argument("--cones", required=True, help="cone family JSON file")
     p_thr.add_argument("--tol", type=float, required=True, help="bracket width target")
-    p_thr.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    p_thr.add_argument("--seed", type=int, default=0)
+    p_thr.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
+                       help="validated (at least 1); the exact solver uses no random starts")
+    p_thr.add_argument("--seed", type=int, default=0,
+                       help="validated (nonnegative); the result does not depend on it")
     p_thr.set_defaults(func=_cmd_threshold)
 
     p_phi = sub.add_parser("phi-curve", help="spherical-measure curve as CSV")

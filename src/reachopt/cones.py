@@ -4,16 +4,18 @@ A circular cone is the set of vectors within a fixed angle of an axis. A
 coupling family enlarges every cone's half-angle additively with a coupling
 level ``gamma``, clamped at a right angle, so that level 0 is the identity
 and the enlarged cones nest as the level grows. Feasibility of the coupled
-intersection is decided on the unit sphere by minimizing the worst angular
-violation. Every violation falls one-for-one with the level until its cone
-clamps, so the infimum level at which the intersection becomes nonempty is
-the level-0 minimax residual; only a clamp on the way calls for bisection.
+intersection is decided on the unit sphere by an exact active-set minimax
+of the worst angular violation over closed-form balance points. Every
+violation falls one-for-one with the level until its cone clamps, so the
+infimum level at which the intersection becomes nonempty is the level-0
+minimax residual; only a clamp on the way calls for bisection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -24,16 +26,17 @@ HALF_PI = math.pi / 2.0
 #: A point counts as inside every cone when its worst violation is below this.
 FEASIBILITY_TOLERANCE = 1e-9
 
+#: Validated for call compatibility only: the exact solver uses no random starts.
 DEFAULT_RESTARTS = 64
+
+#: Cap on active-set pivots; a family in dimension d typically needs about d.
 DEFAULT_ITERATIONS = 500
 
-_EARLY_EXIT = 1e-12
-_STAGNATION_WINDOW = 120
-_STAGNATION_MARGIN = 0.02
-_POLISH_ITERATIONS = 250
-_POLISH_STEP = 0.02
-_POLISH_DECAY = 0.93
-_ANGLE_EPS = 1e-9
+#: Violations within this of the basis level tie with it, so rounding causes no pivot.
+_LEVEL_SLACK = 1e-13
+
+#: Relative singular-value cut for the rank of a cone subset's axes.
+_RANK_TOLERANCE = 1e-9
 
 
 def _unit(vector: np.ndarray) -> np.ndarray:
@@ -43,9 +46,15 @@ def _unit(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
-def _angles(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Angles between unit points (rows) and unit axes (rows), in radians."""
-    return np.arccos(np.clip(points @ axes.T, -1.0, 1.0))
+def _violations(points: np.ndarray, axes: np.ndarray, half_angles: np.ndarray) -> np.ndarray:
+    """Angular violations of unit points (rows) against every cone, shape (points, cones).
+
+    Each angle is the arctangent of the rejection's norm over the cosine, which
+    keeps full accuracy near 0 and pi, where arccos loses half the digits.
+    """
+    cosines = points @ axes.T
+    rejections = points[:, None, :] - cosines[:, :, None] * axes[None, :, :]
+    return np.arctan2(np.linalg.norm(rejections, axis=2), cosines) - half_angles
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,8 @@ class CircularCone:
 
     def angle_to(self, vector) -> float:
         """Angle between a nonzero vector and the axis, in radians."""
-        return float(_angles(_unit(np.asarray(vector, dtype=float)), self.axis))
+        point = _unit(np.asarray(vector, dtype=float))
+        return float(_violations(point[None, :], self.axis[None, :], 0.0)[0, 0])
 
     def contains(self, vector, tol: float = FEASIBILITY_TOLERANCE) -> bool:
         return self.angle_to(vector) <= self.half_angle + tol
@@ -122,22 +132,25 @@ class CouplingFamily:
 
     def max_violation(self, vector, gamma: float) -> float:
         """Worst angular violation of a nonzero vector across enlarged cones."""
-        angles = _angles(_unit(np.asarray(vector, dtype=float)), self.axes_matrix())
-        return float(np.max(angles - self.enlarged_half_angles(gamma)))
+        point = _unit(np.asarray(vector, dtype=float))
+        limits = self.enlarged_half_angles(gamma)
+        return float(np.max(_violations(point[None, :], self.axes_matrix(), limits)))
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Feasibility verdict with the best residual found.
+    """Feasibility verdict with the minimax residual.
 
-    ``residual`` is the smallest worst-violation the solver reached; a value
-    above the feasibility tolerance means no common direction was found, and
-    near-zero positive values signal a boundary worth refining.
+    ``residual`` is the worst violation attained at the solver's point. It is
+    the exact minimax wherever every h_i + residual <= pi/2, which holds for
+    every feasible family; elsewhere it is a value attained at a point. The
+    verdict is exact at every level. ``pivots`` counts active-set pivots.
     """
 
     feasible: bool
     witness: np.ndarray | None
     residual: float
+    pivots: int
 
 
 @dataclass(frozen=True)
@@ -146,141 +159,132 @@ class ThresholdResult:
 
     ``gamma_star`` is the certified-feasible upper end of the bracket; no level
     below the lower end is feasible, by the one-for-one fall of the violations
-    with the level or, after bisection, by the solver. A family feasible at level
-    0 gets ``(0, 0)``. The witness is inside every cone enlarged at the upper end.
+    with the level or, after bisection, by the solver's exact verdicts. A
+    family feasible at level 0 gets ``(0, 0)``. The witness is inside every
+    cone enlarged at the upper end. ``solves`` counts the minimax solves made:
+    1 below the clamp, 1 + 1 + the bisection steps past it.
     """
 
     gamma_star: float
     bracket: tuple[float, float]
     witness: np.ndarray
     tolerance: float
+    solves: int
 
 
-def _orthogonal_unit(axis: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmin(np.abs(axis)))
-    candidate = np.zeros_like(axis)
-    candidate[pivot] = 1.0
-    candidate -= (candidate @ axis) * axis
-    return _unit(candidate)
+def _balance_points(axes: np.ndarray, halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit points (rows) with the same violation t on every given cone.
 
-
-def _pair_balance_points(
-    axes: np.ndarray, half_angles: np.ndarray
-) -> list[np.ndarray]:
-    """Geodesic points balancing the violations of each cone pair.
-
-    For two cones the worst violation is minimized on the arc between the
-    axes at the angle where both violations agree; that point is computed in
-    closed form, so two-cone feasibility questions are decided essentially
-    exactly. Antipodal axes have no unique arc and get a deterministic
-    orthogonal representative.
+    With G = A Aᵀ, p = cos h, q = sin h, u = tan t, the point x = Aᵀy with
+    A x = cos t (p - u q) is unit iff (qᵀG⁻¹q - 1)u² - 2(pᵀG⁻¹q)u + pᵀG⁻¹p - 1
+    = 0, solved homogeneously in (cos t, -sin t); each root gives x and -x.
+    A one-dimensional null space ν pins u = νᵀp / νᵀq, and the rest of the
+    unit norm goes orthogonal to the span. Also returns, per point, whether
+    its multipliers (y, or ν) share one sign: a KKT certificate where the
+    violations balance. Callers score each point by what it attains.
     """
-    points: list[np.ndarray] = []
     count = axes.shape[0]
-    for i in range(count):
-        for j in range(i + 1, count):
-            ci, cj = axes[i], axes[j]
-            spread = float(_angles(ci, cj))
-            if spread < _ANGLE_EPS:
-                points.append(ci.copy())
-                continue
-            target = (spread + half_angles[i] - half_angles[j]) / 2.0
-            target = min(max(target, 0.0), spread)
-            if spread > math.pi - _ANGLE_EPS:
-                ortho = _orthogonal_unit(ci)
-                points.append(math.cos(target) * ci + math.sin(target) * ortho)
-            else:
-                blend = (
-                    math.sin(spread - target) * ci + math.sin(target) * cj
-                ) / math.sin(spread)
-                points.append(_unit(blend))
-    return points
+    left, sigma, right = np.linalg.svd(axes)
+    rank = int(np.count_nonzero(sigma > _RANK_TOLERANCE * sigma[0]))
+    targets = np.stack([np.cos(halves), np.sin(halves)], axis=1)
+    # x = right[:rank]ᵀ coeff w solves A x = [p q] w on the span of the axes.
+    coeff = (left[:, :rank].T @ targets) / sigma[:rank, None]
+    if rank == count:
+        form = coeff.T @ coeff
+        mean = 0.5 * (form[0, 0] + form[1, 1]) - 1.0
+        half_gap = 0.5 * (form[0, 0] - form[1, 1])
+        radius = math.hypot(half_gap, form[0, 1])
+        spread = math.acos(min(max(-mean / radius, -1.0), 1.0)) if radius > 0.0 else 0.0
+        roots = 0.5 * (math.atan2(form[0, 1], half_gap) + np.array([spread, -spread]))
+        w = np.stack([np.cos(roots), np.sin(roots)])
+        points = (right[:rank].T @ coeff @ w).T
+        y = left @ (coeff / sigma[:, None]) @ w
+        certified = np.concatenate([np.all(y >= 0.0, axis=0), np.all(y <= 0.0, axis=0)])
+    elif rank == count - 1:
+        null = left[:, rank]
+        t = math.atan2(null @ targets[:, 0], null @ targets[:, 1])
+        inside = right[:rank].T @ (coeff @ np.array([math.cos(t), -math.sin(t)]))
+        outside = math.sqrt(max(1.0 - float(inside @ inside), 0.0)) * right[rank]
+        points = np.stack([inside + outside, inside - outside])
+        certified = np.full(4, np.all(null >= 0.0) or np.all(null <= 0.0))
+    else:
+        return np.empty((0, axes.shape[1])), np.empty(0, dtype=bool)
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    return np.concatenate([points, -points]), certified
 
 
-def _violations(x: np.ndarray, axes: np.ndarray, half_angles: np.ndarray) -> np.ndarray:
-    return _angles(x, axes) - half_angles[None, :]
+def _pivot(
+    axes: np.ndarray, half_angles: np.ndarray, basis: frozenset[int], entering: int
+) -> tuple[float, frozenset[int], np.ndarray, np.ndarray]:
+    """Minimax of the pool (basis plus entering cone) over subsets holding that cone.
 
-
-def _subgradient_step(
-    x: np.ndarray, viol: np.ndarray, axes: np.ndarray, step: float
-) -> np.ndarray:
-    active = np.argmax(viol, axis=1)
-    axis_active = axes[active]
-    dots = np.sum(x * axis_active, axis=1)
-    sines = np.sqrt(np.maximum(1.0 - dots * dots, 0.0))
-    safe = sines > 1e-12
-    grad = np.zeros_like(x)
-    grad[safe] = -axis_active[safe] / sines[safe, None]
-    # Tangential component; the geodesic-distance gradient has unit length.
-    grad -= np.sum(grad * x, axis=1)[:, None] * x
-    norms = np.linalg.norm(grad, axis=1)
-    scale = np.where(norms > 1e-12, 1.0 / np.maximum(norms, 1e-300), 0.0)
-    moved = x - step * grad * scale[:, None]
-    moved /= np.linalg.norm(moved, axis=1)[:, None]
-    return moved
+    Subsets go largest first; a certified convex-regime balance point that no
+    pool cone exceeds is the pool's minimax and ends the search. Else the
+    least worst violation over the pool wins, which is exact in the convex
+    regime too: the optimal multipliers live on at most ``dim`` cones, the
+    entering one among them unless another point tied the old level.
+    Returns the level, the new basis, its point and its violations.
+    """
+    pool = sorted(basis) + [entering]
+    sizes = range(min(len(basis), axes.shape[1] - 1), -1, -1)
+    owners, blocks = [], []
+    for rest in chain.from_iterable(combinations(pool[:-1], size) for size in sizes):
+        subset = [*rest, entering]
+        points, certified = _balance_points(axes[subset], half_angles[subset])
+        violations = _violations(points, axes, half_angles)
+        level = violations[:, subset].min(axis=1)
+        done = certified & (level >= violations[:, pool].max(axis=1) - _LEVEL_SLACK)
+        done &= level + half_angles[subset].max() <= HALF_PI
+        owners.extend([frozenset(subset)] * points.shape[0])
+        blocks.append((points, violations))
+        if done.any():
+            break
+    points, violations = map(np.concatenate, zip(*blocks))
+    scores = violations[:, pool].max(axis=1)
+    # Ties, as at the two points of a circuit's balance line, go to the point
+    # that the rest of the family violates least.
+    tied = scores <= scores.min() + _LEVEL_SLACK
+    best = int(np.argmin(np.where(tied, violations.max(axis=1), np.inf)))
+    return float(scores[best]), owners[best], points[best], violations[best]
 
 
 def _minimize_max_violation(
-    family: CouplingFamily,
-    gamma: float,
-    restarts: int,
-    iterations: int,
-    seed: int,
-) -> tuple[float, np.ndarray]:
+    family: CouplingFamily, gamma: float, iterations: int
+) -> tuple[float, np.ndarray, int]:
+    """Active-set minimax of the worst angular violation over the unit sphere.
+
+    Starts from the best axis as a one-cone basis and pivots in the
+    most-violated cone until none exceeds the basis level. In the convex
+    regime (every h_i + level <= pi/2) each level is its subfamily's exact
+    minimax, so levels rise and the stop is a certificate: the basis point's
+    nonnegative multipliers prove no point does better. Past it levels need
+    not rise, so a repeated basis or ``iterations`` pivots also stop it.
+    Returns the least worst violation attained, its point and the pivots.
+    """
     axes = family.axes_matrix()
     half_angles = family.enlarged_half_angles(gamma)
-    rng = np.random.default_rng(seed)
+    at_axes = _violations(axes, axes, half_angles)
+    start = int(np.argmin(at_axes.max(axis=1)))
+    basis, point, violations = frozenset([start]), axes[start], at_axes[start]
+    level = float(violations[start])
+    best_value, best_point = math.inf, point
+    pivots, visited = 0, set()
+    while True:
+        worst = float(violations.max())
+        if worst < best_value:
+            best_value, best_point = worst, point
+        if worst <= level + _LEVEL_SLACK or pivots >= iterations or basis in visited:
+            return best_value, best_point, pivots
+        visited.add(basis)
+        level, basis, point, violations = _pivot(
+            axes, half_angles, basis, int(np.argmax(violations))
+        )
+        pivots += 1
 
-    starts = [axis.copy() for axis in axes]
-    mean = axes.sum(axis=0)
-    if float(np.linalg.norm(mean)) > 1e-12:
-        starts.append(_unit(mean))
-    starts.extend(_pair_balance_points(axes, half_angles))
-    random_starts = rng.standard_normal((restarts, family.dim))
-    random_starts /= np.linalg.norm(random_starts, axis=1)[:, None]
-    x = np.vstack([np.stack(starts), random_starts])
-    x /= np.linalg.norm(x, axis=1)[:, None]
 
-    viol = _violations(x, axes, half_angles)
-    phi_values = viol.max(axis=1)
-    best_idx = int(np.argmin(phi_values))
-    best_value = float(phi_values[best_idx])
-    best_point = x[best_idx].copy()
-
-    since_improvement = 0
-    for t in range(1, iterations + 1):
-        if best_value <= _EARLY_EXIT:
-            break
-        if since_improvement >= _STAGNATION_WINDOW and best_value > _STAGNATION_MARGIN:
-            break
-        x = _subgradient_step(x, viol, axes, 0.1 / math.sqrt(t))
-        viol = _violations(x, axes, half_angles)
-        phi_values = viol.max(axis=1)
-        idx = int(np.argmin(phi_values))
-        if float(phi_values[idx]) < best_value - 1e-12:
-            best_value = float(phi_values[idx])
-            best_point = x[idx].copy()
-            since_improvement = 0
-        else:
-            since_improvement += 1
-
-    # Polish around the incumbent with geometrically shrinking steps; the
-    # sqrt-decay schedule above cannot resolve violations much below its
-    # final step size.
-    if best_value > _EARLY_EXIT:
-        point = best_point[None, :].copy()
-        step = _POLISH_STEP
-        for _ in range(_POLISH_ITERATIONS):
-            viol_p = _violations(point, axes, half_angles)
-            value = float(viol_p.max())
-            if value < best_value:
-                best_value = value
-                best_point = point[0].copy()
-                if best_value <= _EARLY_EXIT:
-                    break
-            point = _subgradient_step(point, viol_p, axes, step)
-            step *= _POLISH_DECAY
-    return best_value, best_point
+def _check_unused(restarts: int, seed: int) -> None:
+    if restarts < 1 or seed < 0:
+        raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
 
 
 def is_feasible(
@@ -293,22 +297,20 @@ def is_feasible(
 ) -> FeasibilityResult:
     """Decide whether the enlarged cones share a common unit direction.
 
-    The worst angular violation is minimized over the unit sphere by
-    projected subgradient descent from deterministic warm starts (axes, mean
-    axis, pairwise balance points) plus ``restarts`` seeded random starts.
-    Feasible means a point with violation at most ``FEASIBILITY_TOLERANCE``
-    was found; the result always reports the best residual reached.
+    Feasible means the exact active-set minimax of the worst angular violation
+    (at most ``iterations`` pivots) is at most ``FEASIBILITY_TOLERANCE``. The
+    verdict is exact at every level, clamped or not: a feasible family's
+    minimizer has every h_i + residual <= pi/2, the convex regime where the
+    solver is exact and an infeasible verdict stops on a nonnegative-multiplier
+    certificate. ``restarts`` (at least 1) and ``seed`` (nonnegative) are
+    validated for call compatibility and do not change the result.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    best_value, best_point = _minimize_max_violation(
-        family, gamma, restarts, iterations, seed
-    )
-    feasible = best_value <= FEASIBILITY_TOLERANCE
-    witness = best_point if feasible else None
-    return FeasibilityResult(feasible=feasible, witness=witness, residual=best_value)
+    _check_unused(restarts, seed)
+    residual, point, pivots = _minimize_max_violation(family, gamma, iterations)
+    feasible = residual <= FEASIBILITY_TOLERANCE
+    return FeasibilityResult(feasible, point if feasible else None, residual, pivots)
 
 
 def find_gamma_star(
@@ -323,7 +325,9 @@ def find_gamma_star(
     No level below the level-0 minimax residual ``r`` is feasible: violations
     fall one-for-one with the level. If the level-0 minimizer is feasible at
     ``r`` (so whenever ``r + max h_i <= pi/2``), the bracket is
-    ``(max(0, r - tol/2), r)``; else a cone clamps and ``[r, pi/2]`` is bisected.
+    ``(max(0, r - tol/2), r)``; else a cone clamps and ``[r, pi/2]`` is
+    bisected with exact verdicts. ``restarts`` and ``seed`` are validated as in
+    :func:`is_feasible` and do not change the result.
 
     Raises
     ------
@@ -333,33 +337,28 @@ def find_gamma_star(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    residual, witness = _minimize_max_violation(
-        family, 0.0, restarts, DEFAULT_ITERATIONS, seed
-    )
+    _check_unused(restarts, seed)
+    residual, witness, _ = _minimize_max_violation(family, 0.0, DEFAULT_ITERATIONS)
+    solves = 1
     if residual <= FEASIBILITY_TOLERANCE:
-        return ThresholdResult(0.0, (0.0, 0.0), witness, 0.0)
+        return ThresholdResult(0.0, (0.0, 0.0), witness, 0.0, solves)
     low, high = max(0.0, residual - tol / 2.0), residual
     if family.max_violation(witness, residual) > FEASIBILITY_TOLERANCE:
-        at_max = is_feasible(family, HALF_PI, restarts, seed=seed)
+        at_max = is_feasible(family, HALF_PI)
+        solves += 1
         if not at_max.feasible:
             raise InfeasibleAtMaxError(at_max.residual)
         low, high, witness = residual, HALF_PI, at_max.witness
     while high - low > tol:
         mid = 0.5 * (low + high)
-        result = is_feasible(family, mid, restarts, seed=seed)
+        result = is_feasible(family, mid)
+        solves += 1
         if result.feasible:
             high = mid
             witness = result.witness
         else:
             low = mid
-    return ThresholdResult(
-        gamma_star=high,
-        bracket=(low, high),
-        witness=witness,
-        tolerance=high - low,
-    )
+    return ThresholdResult(high, (low, high), witness, high - low, solves)
 
 
 def sample_sphere(dim: int, count: int, rng) -> np.ndarray:
@@ -400,7 +399,7 @@ def phi_curve(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     points = sample_sphere(family.dim, samples, seed)
-    angles = _angles(points, family.axes_matrix())
+    angles = np.arccos(np.clip(points @ family.axes_matrix().T, -1.0, 1.0))
     curve = []
     for gamma in grid:
         inside = np.all(angles <= family.enlarged_half_angles(gamma)[None, :], axis=1)

@@ -2,12 +2,14 @@
 
 Nothing here touches the library's own spectral code paths: eigenvalues come
 from characteristic-polynomial roots, operator norms from power iteration,
-cone thresholds from the closed-form two-cone geometry, and constrained
-optima from brute-force grids.
+cone thresholds from the closed-form two-cone geometry, cone minimax values
+from enumerating every small cone subset, and constrained optima from
+brute-force grids.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -106,3 +108,72 @@ def circle_grid_argmax(evaluate, radius: float, points: int = 200001) -> np.ndar
             best_value = value
             best_point = candidate
     return best_point
+
+
+def sphere_angles(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Angles between unit rows of ``points`` and of ``axes``, shape (points, axes).
+
+    Taken as atan2(|rejection|, cosine), accurate near 0 and pi.
+    """
+    cosines = points @ axes.T
+    sines = np.array(
+        [
+            [np.linalg.norm(x - c * a) for c, a in zip(row, axes)]
+            for x, row in zip(points, cosines)
+        ]
+    )
+    return np.arctan2(sines, cosines)
+
+
+def _subset_balance_points(axes: np.ndarray, half_angles: np.ndarray) -> list[np.ndarray]:
+    """Points at equal violation t on every cone of the subset, from u = tan t.
+
+    In the span, A x = cos t (p - u q) with G = A Aᵀ, p = cos h, q = sin h,
+    and |x| = 1 gives (qᵀG⁻¹q - 1) u² - 2 pᵀG⁻¹q u + pᵀG⁻¹p - 1 = 0; t = ±pi/2
+    is added on its own. A one-dimensional null space ν fixes u = νᵀp / νᵀq,
+    and the rest of the unit norm goes to one direction orthogonal to the span.
+    """
+    count, dim = axes.shape
+    gram = axes @ axes.T
+    p, q = np.cos(half_angles), np.sin(half_angles)
+    rank = np.linalg.matrix_rank(axes)
+    points = []
+    if rank == count:
+        gp, gq = np.linalg.solve(gram, p), np.linalg.solve(gram, q)
+        # A double root may come out as a complex pair split by rounding, so
+        # every root's real part is tried; the scoring discards strays.
+        for u in np.roots([q @ gq - 1.0, -2.0 * (p @ gq), p @ gp - 1.0]).real:
+            cosine = 1.0 / math.sqrt(1.0 + u**2)
+            points.extend(sign * cosine * (axes.T @ (gp - u * gq)) for sign in (1, -1))
+        points.extend(sign * (axes.T @ gq) for sign in (1, -1))
+    elif rank == count - 1:
+        null = np.linalg.eigh(gram)[1][:, 0]
+        complement = np.linalg.svd(axes)[2][rank]
+        tangent = math.atan2(null @ p, null @ q)
+        for t in (tangent, tangent - math.pi):
+            rhs = math.cos(t) * p - math.sin(t) * q
+            inside = axes.T @ np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            height = math.sqrt(max(1.0 - inside @ inside, 0.0))
+            points.extend(inside + sign * height * complement for sign in (1, -1))
+    return [x / np.linalg.norm(x) for x in points if np.linalg.norm(x) > 0.0]
+
+
+def enumerated_minimax(axes: np.ndarray, half_angles: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimax of the worst angular violation over the unit sphere, by enumeration.
+
+    Every subset of at most min(m, d) cones gives its closed-form balance
+    points; each is scored by the worst violation it attains over the whole
+    family, and the best one is returned with its value. Exact in the convex
+    regime, where the optimal multipliers live on at most d linearly
+    independent axes or on one circuit.
+    """
+    count, dim = axes.shape
+    best_value, best_point = math.inf, None
+    for size in range(1, min(count, dim) + 1):
+        for subset in itertools.combinations(range(count), size):
+            chosen = list(subset)
+            for x in _subset_balance_points(axes[chosen], half_angles[chosen]):
+                value = float(np.max(sphere_angles(x[None, :], axes)[0] - half_angles))
+                if value < best_value:
+                    best_value, best_point = value, x
+    return best_value, best_point

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -222,6 +223,40 @@ class TestRunAscent:
         field = constant_field(np.eye(2))
         with pytest.raises(ValueError):
             run_ascent(objective, field, None, [np.nan, 0.0], 10, 1e-2)
+        nan_payoff = Objective(lambda point: math.nan, objective.gradient)
+        with pytest.raises(ValueError):
+            run_ascent(nan_payoff, field, None, np.zeros(2), 10, 1e-2)
+        base = spherical_budget(1.0)
+        nan_cost = BudgetConstraint(lambda point: math.nan, base.cost_gradient, base.kappa)
+        with pytest.raises(ValueError):
+            run_ascent(objective, field, nan_cost, np.zeros(2), 10, 1e-2)
+
+    @pytest.mark.parametrize("broken", ["objective", "cost"])
+    def test_non_finite_candidate_stops_the_run(self, broken):
+        # The broken callback turns NaN past x = 0.015: one step of 0.01 is
+        # taken, and the run stops at the second iterate, logged with step
+        # size 0, instead of reporting NaN or backtracking.
+        def spoiled(value):
+            return lambda point: math.nan if point[0] > 0.015 else value(point)
+
+        base = spherical_budget(1.0)
+        payoff = lambda point: float(point[0])  # noqa: E731
+        objective = Objective(
+            spoiled(payoff) if broken == "objective" else payoff,
+            lambda point: np.array([1.0, 0.0]),
+        )
+        cost = spoiled(base.cost) if broken == "cost" else base.cost
+        budget = BudgetConstraint(cost, base.cost_gradient, base.kappa)
+        record = run_ascent(
+            objective, constant_field(np.eye(2)), budget, np.zeros(2), 10, 1e-2
+        )
+        assert record.status == "non-finite"
+        assert [row.step_size for row in record.steps] == [1e-2, 0.0]
+        assert np.array_equal(record.final_point, [0.01, 0.0])
+        assert record.final_objective == 0.01
+        assert record.final_cost == base.cost(np.array([0.01, 0.0]))
+        for row in record.steps:
+            assert math.isfinite(row.objective_value) and math.isfinite(row.cost_value)
 
     @pytest.mark.parametrize("budget", [None, spherical_budget(1.0)])
     def test_non_finite_gradient_stops_the_run(self, budget):

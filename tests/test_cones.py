@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reachopt import cones
+from reachopt.cones import DEFAULT_ITERATIONS, FEASIBILITY_TOLERANCE
 from reachopt import (
     CircularCone,
     CouplingFamily,
@@ -18,6 +19,7 @@ from reachopt import (
 )
 from oracles import (
     angle_between,
+    enumerated_minimax,
     spherical_cap_fraction_3d,
     two_cone_feasible,
     two_cone_gamma_star,
@@ -54,6 +56,28 @@ def two_cone_family(seed, dim, half1, half2, spread):
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     second = math.cos(spread) * basis[:, 0] + math.sin(spread) * basis[:, 1]
     return CouplingFamily((CircularCone(basis[:, 0], half1), CircularCone(second, half2)))
+
+
+def centred_family(seed, dim, count, answer):
+    """Cones with threshold ``answer``, built around a centre as the benchmark does.
+
+    Each axis lies 0.5-1.1 rad from the centre along a tangent direction, and
+    weighted tangents sum to zero, so 0 is in their convex hull. Every cone is
+    violated by ``answer`` at the centre, which is therefore the minimax point.
+    """
+    rng = np.random.default_rng(seed)
+    centre = rng.standard_normal(dim)
+    centre /= np.linalg.norm(centre)
+    tangents = rng.standard_normal((count, dim))
+    tangents -= np.outer(tangents @ centre, centre)
+    weights = rng.uniform(0.5, 1.5, size=count)
+    tangents[-1] = -(weights[:-1] @ tangents[:-1]) / weights[-1]
+    tangents /= np.linalg.norm(tangents, axis=1)[:, None]
+    spreads = rng.uniform(0.5, 1.1, size=count)
+    axes = np.cos(spreads)[:, None] * centre + np.sin(spreads)[:, None] * tangents
+    return CouplingFamily(
+        tuple(CircularCone(a, s - answer) for a, s in zip(axes, spreads))
+    )
 
 
 def random_family(rng, dim, count, max_half_angle_deg=80.0):
@@ -184,6 +208,18 @@ class TestIsFeasible:
             is_feasible(family, -0.1)
         with pytest.raises(ValueError):
             is_feasible(family, 0.0, restarts=0)
+        with pytest.raises(ValueError):
+            is_feasible(family, 0.0, seed=-1)
+
+    def test_hemispheres_meeting_in_one_ray(self):
+        # The first three axes sum to zero, so their hemispheres share only the
+        # line through (1, 1, 1). Both ends of it balance those three cones at
+        # violation 0; only the positive end lies in the fourth hemisphere.
+        axes = ([0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 1.0, 1.0])
+        family = CouplingFamily(tuple(CircularCone(np.array(a), math.pi / 2) for a in axes))
+        result = is_feasible(family, 0.0)
+        assert result.feasible
+        assert np.allclose(result.witness, np.ones(3) / math.sqrt(3.0))
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(33)
@@ -202,19 +238,55 @@ class TestIsFeasible:
     @given(
         seed=st.integers(0, 2**32 - 1),
         dim=st.integers(2, 5),
+        count=st.integers(2, 5),
         half1=st.floats(0.05, 0.6),
         half2=st.floats(0.05, 0.6),
         gap=st.floats(0.01, 0.4),
         fraction=st.floats(0.0, 0.99),
     )
     def test_residual_falls_one_for_one_below_the_clamp(
-        self, seed, dim, half1, half2, gap, fraction
+        self, seed, dim, count, half1, half2, gap, fraction
     ):
-        family = two_cone_family(seed, dim, half1, half2, half1 + half2 + 2.0 * gap)
+        if count == 2:
+            family = two_cone_family(seed, dim, half1, half2, half1 + half2 + 2.0 * gap)
+        else:
+            family = centred_family(seed, dim + 1, count, gap)
+        widest = max(cone.half_angle for cone in family.base_cones)
         at_zero = is_feasible(family, 0.0, restarts=16).residual
-        gamma = fraction * min(at_zero, math.pi / 2 - max(half1, half2))
+        gamma = fraction * min(at_zero, math.pi / 2 - widest)
         at_gamma = is_feasible(family, gamma, restarts=16).residual
         assert at_gamma == pytest.approx(at_zero - gamma, abs=1e-12)
+
+    @settings(max_examples=400)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 6),
+        count=st.integers(1, 5),
+        level=st.sampled_from(["zero", "random", "clamp"]),
+        lattice=st.booleans(),
+    )
+    def test_matches_subset_enumeration(self, seed, dim, count, level, lattice):
+        # Lattice families (axis entries in {-1, 0, 1}, half-angles from a
+        # short list) repeat, oppose and form circuits, which exercises the
+        # rank-deficient balance points and ties; gaussian ones are generic.
+        rng = np.random.default_rng(seed)
+        if lattice:
+            axes = rng.integers(-1, 2, (count, dim))
+            halves = rng.choice([0.0, 0.1, 0.3, 0.7, math.pi / 4, math.pi / 2], count)
+        else:
+            axes = rng.standard_normal((count, dim))
+            halves = rng.uniform(0.0, rng.choice([0.3, math.pi / 2]), count)
+        assume(np.all(np.any(axes != 0, axis=1)))
+        gamma = {"zero": 0.0, "random": rng.uniform(0.0, 1.0), "clamp": math.pi / 2}[level]
+        family = CouplingFamily(tuple(CircularCone(a, h) for a, h in zip(axes, halves)))
+        limits = family.enlarged_half_angles(gamma)
+        value, _ = enumerated_minimax(family.axes_matrix(), limits)
+        assume(abs(value - FEASIBILITY_TOLERANCE) > 1e-12)
+        result = is_feasible(family, gamma)
+        assert result.feasible == (value <= FEASIBILITY_TOLERANCE)
+        if np.all(limits + value <= math.pi / 2):
+            assert result.residual == pytest.approx(value, abs=1e-10)
+            assert result.pivots < DEFAULT_ITERATIONS
 
 
 class TestFindGammaStar:
@@ -303,6 +375,7 @@ class TestFindGammaStar:
             levels.clear()
             result = find_gamma_star(family, tol)
             assert levels == [0.0]
+            assert result.solves == 1
             assert result.gamma_star == pytest.approx(
                 two_cone_gamma_star(spread, half1, half2), abs=1e-12
             )
@@ -326,6 +399,38 @@ class TestFindGammaStar:
         assert family.max_violation(result.witness, hi) <= 1e-9
         assert len(levels) > 2
         assert min(levels[1:]) >= math.radians(30.0) - 1e-9
+        assert result.solves == len(levels)
+
+    def test_many_cone_family(self):
+        # All 40 cones are active at the centre; enumerating the family's
+        # subsets of up to six cones would take about 4.6 million solves.
+        answer = 0.23
+        family = centred_family(3, 6, 40, answer)
+        result = find_gamma_star(family, 1e-4)
+        assert result.gamma_star == pytest.approx(answer, abs=1e-9)
+        assert result.solves == 1
+        assert family.max_violation(result.witness, result.gamma_star) <= 1e-9
+        below = is_feasible(family, answer - 1e-6)
+        assert not below.feasible
+        assert below.residual == pytest.approx(1e-6, abs=1e-9)
+        assert below.pivots < 40
+
+    def test_restarts_and_seed_do_not_change_the_result(self):
+        families = [
+            random_family(np.random.default_rng(seed), 2 + seed % 4, 2 + seed % 4)
+            for seed in range(12)
+        ]
+        families.append(
+            CouplingFamily((cone(planar_axis(0.0), 80.0), cone(planar_axis(150.0), 10.0)))
+        )
+        for family in families:
+            runs = [
+                find_gamma_star(family, 1e-4, restarts, seed=seed)
+                for restarts, seed in ((1, 0), (64, 0), (64, 11), (1, 11))
+            ]
+            for run in runs[1:]:
+                assert run.bracket == runs[0].bracket
+                assert run.witness.tobytes() == runs[0].witness.tobytes()
 
 
 class TestPhi:

@@ -3,8 +3,9 @@
 Each step asks the operator field for the local geometry, computes the
 unit-effort ascent direction, and moves by a fixed step size. When a budget
 constraint is active at the current point and the direction would increase
-the cost, the ascent direction is projected onto the cost-level halfspace
-inside the reachable subspace and renormalized. Steps that would break the
+the cost, the step maximizes the gain over reachable unit-effort directions
+that do not raise the cost, d ~ A+(g - mu n) with n the cost gradient: the
+gradient projection in the pseudoinverse metric. Steps that would break the
 budget are retried with halved step sizes; a run halts early on a degenerate
 direction, when backtracking is exhausted, or on a non-finite callback value.
 """
@@ -18,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .directions import DirectionKind, DirectionResult, optimal_direction
-from .errors import DegenerateDirectionError, InfeasibleStartError
+from .directions import DirectionKind, DirectionResult, _modal_direction, optimal_direction
+from .errors import InfeasibleStartError
 from .operators import ConstraintOperator, OperatorField
 from .spectral import SymmetricMatrix
 
@@ -182,42 +183,8 @@ class TrajectoryRecord:
     metadata: dict | None = None
 
 
-def _budgeted_direction(
-    operator: ConstraintOperator,
-    grad: np.ndarray,
-    budget: BudgetConstraint,
-    point: np.ndarray,
-    cost_value: float,
-) -> tuple[DirectionResult, bool]:
-    """:func:`feasible_direction` at a point in budget whose cost is known.
-
-    Also returns whether the budget is active there.
-    """
-    active = (budget.kappa - cost_value) < ACTIVATION_TOLERANCE * max(1.0, budget.kappa)
-    base = optimal_direction(operator, grad)
-    if not active or base.kind is DirectionKind.DEGENERATE:
-        return base, active
-
-    normal = np.asarray(budget.cost_gradient(point), dtype=float)
-    outward = float(normal @ base.direction)
-    if outward <= 0.0:
-        return base, active
-
-    # The unit direction is a positive multiple of the pseudoinverse-weighted
-    # gradient, and renormalization removes the scale.
-    restricted = operator.project_onto_image(normal)
-    weight = float(restricted @ restricted)
-    if weight <= 0.0:
-        return base, active
-    projected = base.direction - (outward / weight) * restricted
-    weighted_norm = base.weighted_gradient_norm
-    try:
-        direction = operator.normalize_effort(projected)
-    except DegenerateDirectionError:
-        return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm), active
-    direction.setflags(write=False)
-    gain = float(grad @ direction)
-    return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm), active
+def _is_active(budget: BudgetConstraint, cost_value: float) -> bool:
+    return (budget.kappa - cost_value) < ACTIVATION_TOLERANCE * max(1.0, budget.kappa)
 
 
 def feasible_direction(
@@ -229,10 +196,13 @@ def feasible_direction(
     """Ascent direction respecting both reachability and an active budget.
 
     Away from the budget boundary this is exactly the unconstrained optimal
-    direction. At an active boundary, if that direction would increase the
-    cost, it is projected onto the halfspace of non-increasing cost inside
-    the reachable subspace and renormalized; a projection with vanishing
-    effort yields a degenerate result.
+    direction. At an active boundary where that direction would increase the
+    cost, it is the maximizer of the gain among reachable unit-effort
+    directions with n . d <= 0, n being the cost gradient: d ~ A+(g - mu n)
+    with mu = (c_n . c_g / lambda) / (c_n . c_n / lambda) in the coefficients
+    c = U_r'v on the retained modes. The result is degenerate, a KKT point of
+    the boundary, when g - mu n fails the degeneracy test of
+    :func:`optimal_direction`.
     """
     position = np.asarray(point, dtype=float)
     cost_value = float(budget.cost(position))
@@ -240,8 +210,9 @@ def feasible_direction(
         raise InfeasibleStartError(
             f"cost {cost_value!r} exceeds the budget cap {budget.kappa!r}"
         )
-    grad = np.asarray(gradient, dtype=float)
-    return _budgeted_direction(operator, grad, budget, position, cost_value)[0]
+    if not _is_active(budget, cost_value):
+        return optimal_direction(operator, gradient)
+    return _modal_direction(operator, gradient, budget.cost_gradient(position))
 
 
 def run_ascent(
@@ -259,10 +230,11 @@ def run_ascent(
     when no ascent direction remains, ``"budget-stall"`` when even
     ``BACKTRACK_LIMIT`` halvings of the step cannot keep the cost under the
     cap, and ``"non-finite"`` when a callback returns a non-finite value. A
-    non-finite gradient stops the run at that iterate without logging or
-    leaving it; a non-finite cost or objective at a candidate stops it at the
-    current iterate, logged with step size 0, so no logged row or final field
-    holds a non-finite value. A non-finite ``theta0``, or a non-finite
+    non-finite gradient, or a non-finite cost gradient where the budget is
+    active, stops the run at that iterate without logging or leaving it; a
+    non-finite cost or objective at a candidate stops it at the current
+    iterate, logged with step size 0, so no logged row or final field holds
+    a non-finite value. A non-finite ``theta0``, or a non-finite
     objective or cost there, raises ``ValueError``, and a start outside the
     budget raises ``InfeasibleStartError``. The objective and the cost are
     evaluated once per point: an accepted candidate's values are logged at
@@ -292,14 +264,16 @@ def run_ascent(
     status = "completed"
     for index in range(steps):
         grad = np.asarray(objective.gradient(theta), dtype=float)
-        if not np.all(np.isfinite(grad)):
+        active = budget is not None and _is_active(budget, cost_value)
+        normal = np.asarray(budget.cost_gradient(theta), dtype=float) if active else None
+        if not np.all(np.isfinite(grad)) or (active and not np.all(np.isfinite(normal))):
             status = "non-finite"
             break
         operator = operator_field(theta)
-        if budget is None:
-            result, active = optimal_direction(operator, grad), False
+        if active:
+            result = _modal_direction(operator, grad, normal)
         else:
-            result, active = _budgeted_direction(operator, grad, budget, theta, cost_value)
+            result = optimal_direction(operator, grad)
 
         step_size, next_theta, next_cost = 0.0, None, None
         if result.kind is DirectionKind.DEGENERATE:

@@ -9,16 +9,11 @@ are constant in the point, but any pure callable works.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDirectionError
 from .spectral import SpectralDecomposition, SymmetricMatrix, _as_vector, decompose
-
-#: Directions with effort at or below this have no unit-effort representative.
-EFFORT_FLOOR = 1e-14
 
 OperatorField = Callable[[np.ndarray], "ConstraintOperator"]
 
@@ -62,9 +57,6 @@ class ConstraintOperator:
     def pseudoinverse(self) -> SymmetricMatrix:
         return self._spectrum.pseudoinverse()
 
-    def apply(self, direction) -> np.ndarray:
-        return self._matrix.apply(direction)
-
     def project_onto_image(self, vector) -> np.ndarray:
         return self._spectrum.project_onto_image(vector)
 
@@ -87,23 +79,6 @@ class ConstraintOperator:
         if off_image > tol * norm:
             return False
         return abs(self.effort(vec) - 1.0) <= tol
-
-    def normalize_effort(self, direction) -> np.ndarray:
-        """Rescale a direction to unit effort.
-
-        Raises
-        ------
-        DegenerateDirectionError
-            If the effort is at or below ``EFFORT_FLOOR``, i.e. the direction
-            is (numerically) a kernel direction.
-        """
-        vec = _as_vector(direction, self.dim, "direction")
-        value = self.effort(vec)
-        if value <= EFFORT_FLOOR:
-            raise DegenerateDirectionError(
-                f"effort {value:.3e} is below the floor {EFFORT_FLOOR:.1e}"
-            )
-        return vec / math.sqrt(value)
 
     def __repr__(self) -> str:
         return (

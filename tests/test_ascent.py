@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reachopt import (
     BudgetConstraint,
@@ -19,10 +21,12 @@ from reachopt import (
     quadratic_objective,
     rosenbrock_objective,
     run_ascent,
+    sample_unit_effort,
     spherical_budget,
     validate_gradient,
     write_trace_csv,
 )
+from conftest import random_psd
 
 
 class TestObjectives:
@@ -121,6 +125,46 @@ class TestFeasibleDirection:
         assert np.linalg.norm(off_image) <= 1e-10
         normal = budget.cost_gradient(point)
         assert float(normal @ result.direction) <= 1e-12
+
+    def test_active_step_maximizes_in_the_effort_metric(self):
+        # A is not a multiple of the identity on its image, so projecting the
+        # free direction in the Euclidean metric gives [0, -1] with gain -0.2.
+        operator = ConstraintOperator([[1.0, 0.9], [0.9, 1.0]])
+        budget = spherical_budget(1.0)
+        point = np.array([1.0, 0.0])
+        result = feasible_direction(operator, np.array([1.0, 0.2]), budget, point)
+        assert result.kind is DirectionKind.OPTIMAL
+        assert np.allclose(result.direction, [0.0, 1.0], rtol=0.0, atol=1e-12)
+        assert result.first_order_gain == pytest.approx(0.2, abs=1e-12)
+        # g = A+ n / 2: the point is a KKT point of the boundary.
+        kkt = feasible_direction(operator, np.array([1.0, 0.0]), budget, point)
+        assert kkt.kind is DirectionKind.DEGENERATE
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_active_step_beats_every_sampled_feasible_direction(self, seed):
+        generator = np.random.default_rng(seed)
+        dim = int(generator.integers(2, 7))
+        rank = int(generator.integers(1, dim + 1))
+        operator = ConstraintOperator(
+            random_psd(generator, dim, rank, low=np.exp(-2.0), high=np.exp(2.0))
+        )
+        budget = spherical_budget(1.0)
+        point = generator.standard_normal(dim)
+        point /= np.linalg.norm(point)
+        gradient = generator.standard_normal(dim)
+        normal = budget.cost_gradient(point)
+        free = optimal_direction(operator, gradient)
+        assume(free.kind is DirectionKind.OPTIMAL and normal @ free.direction > 0.0)
+        result = feasible_direction(operator, gradient, budget, point)
+        gain = result.first_order_gain
+        assert gain >= 0.0
+        if result.kind is DirectionKind.OPTIMAL:
+            assert gain == pytest.approx(result.weighted_gradient_norm, rel=1e-9)
+            assert normal @ result.direction <= 1e-12 * np.linalg.norm(normal)
+        samples = sample_unit_effort(operator, 4000, rng=generator)
+        feasible = samples[samples @ normal <= 0.0]
+        assert np.all(feasible @ gradient <= gain + 1e-9 * free.first_order_gain)
 
     def test_infeasible_point_raises(self):
         operator = ConstraintOperator(np.eye(2))
@@ -273,6 +317,17 @@ class TestRunAscent:
         assert len(record.steps) == 2
         assert np.array_equal(record.final_point, [0.02, 0.0])
         assert record.final_objective == 0.02
+
+    def test_non_finite_cost_gradient_at_an_active_budget_stops_the_run(self):
+        base = spherical_budget(1.0)
+        budget = BudgetConstraint(base.cost, lambda point: np.full(2, np.nan), base.kappa)
+        objective = quadratic_objective(np.eye(2), [2.0, 1.0])
+        record = run_ascent(
+            objective, constant_field(np.eye(2)), budget, [1.0, 0.0], 10, 1e-2
+        )
+        assert record.status == "non-finite"
+        assert record.steps == []
+        assert np.array_equal(record.final_point, [1.0, 0.0])
 
     def test_cost_evaluated_once_per_step(self):
         base = spherical_budget(1.0)

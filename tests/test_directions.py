@@ -124,23 +124,33 @@ class TestOptimalDirection:
         assert optimal_direction(op, [0.0, 1.0]).kind is DirectionKind.DEGENERATE
 
     @pytest.mark.parametrize(
-        "diagonal, gradient",
+        "diagonal, gradient, direction",
         [
-            ([1.0, 1.0], [1e-170, 0.0]),
-            ([1e20, 1.0], [1e-160, 0.0]),
-            ([1.0, 1e-9], [0.0, 1e150]),
+            ([1.0, 1.0], [1e-170, 0.0], [1.0, 0.0]),
+            ([1e20, 1.0], [1e-160, 0.0], [1e-10, 0.0]),
+            ([1.0, 1e-9], [0.0, 1e150], [0.0, 1e-9**-0.5]),
+            ([1.0, 1.0], [1e160, 0.0], [1.0, 0.0]),
         ],
-        ids=["underflow", "underflow-past-the-relative-test", "overflow"],
+        ids=["underflow", "underflow-past-the-relative-test", "overflow", "gradient-norm-overflow"],
     )
-    def test_effort_out_of_floating_range_is_degenerate(self, diagonal, gradient):
-        # The effort norm c . (c / lambda) underflows to 0 or overflows to inf.
-        # In the last two cases the operator-gradient product still passes
-        # the relative test, so the effort itself must be checked; otherwise
-        # the direction would be NaN or zero.
-        with np.errstate(over="ignore"):
-            result = optimal_direction(ConstraintOperator(np.diag(diagonal)), gradient)
+    def test_effort_out_of_floating_range_is_optimal(self, diagonal, gradient, direction):
+        # Unscaled, the effort norm c . (c / lambda) underflows to 0 or
+        # overflows to inf, and in the last case so does |g|. The gradient is
+        # divided by the power of two of its largest entry first, so the
+        # solve runs at the scale of one and the norm is scaled back exactly.
+        result = optimal_direction(ConstraintOperator(np.diag(diagonal)), gradient)
+        assert result.kind is DirectionKind.OPTIMAL
+        assert np.allclose(result.direction, direction, rtol=1e-12, atol=0.0)
+        gain = float(np.dot(gradient, direction))
+        assert result.first_order_gain == pytest.approx(gain, rel=1e-12)
+        assert result.weighted_gradient_norm == pytest.approx(gain, rel=1e-12)
+
+    def test_gain_beyond_floating_range_is_degenerate(self):
+        # The maximal gain 1e308 / sqrt(0.25) is not a float, so no optimal
+        # result can report it.
+        result = optimal_direction(ConstraintOperator(0.25 * np.eye(2)), [1e308, 0.0])
         assert result.kind is DirectionKind.DEGENERATE
-        assert result.direction is None
+        assert result.weighted_gradient_norm == np.inf
 
     def test_ray_uniqueness_near_optimum(self, rng):
         op = ConstraintOperator(random_mild_psd(rng, 4, 3))

@@ -3,7 +3,6 @@ import pytest
 
 from reachopt import (
     ConstraintOperator,
-    DegenerateDirectionError,
     DimensionMismatchError,
     SymmetricMatrix,
     constant_field,
@@ -70,26 +69,6 @@ class TestIsAdmissible:
             op.is_admissible([0.0, 0.0])
 
 
-class TestNormalizeEffort:
-    def test_euclidean_normalization(self):
-        op = ConstraintOperator(np.eye(2))
-        assert np.allclose(op.normalize_effort([3.0, 4.0]), [0.6, 0.8])
-
-    def test_weighted_scaling(self):
-        op = ConstraintOperator(np.diag([4.0, 0.0]))
-        assert np.allclose(op.normalize_effort([1.0, 0.0]), [0.5, 0.0])
-
-    def test_kernel_direction_degenerate(self):
-        op = ConstraintOperator(np.diag([4.0, 0.0]))
-        with pytest.raises(DegenerateDirectionError):
-            op.normalize_effort([0.0, 1.0])
-
-    def test_result_has_unit_effort(self, rng):
-        op = ConstraintOperator(random_psd(rng, 4, 4))
-        direction = op.normalize_effort(rng.standard_normal(4))
-        assert float(op.effort(direction)) == pytest.approx(1.0, abs=1e-10)
-
-
 class TestOperatorGeometry:
     def test_image_kernel_split(self, rng):
         op = ConstraintOperator(random_psd(rng, 6, 4))
@@ -105,7 +84,7 @@ class TestOperatorGeometry:
             kernel_part = vector - image_part
             assert abs(float(image_part @ kernel_part)) <= 1e-10
             # The complement really is operator kernel.
-            assert np.linalg.norm(op.apply(kernel_part)) <= 1e-9
+            assert np.linalg.norm(op.matrix.apply(kernel_part)) <= 1e-9
 
     def test_operator_norm_is_top_eigenvalue(self):
         op = ConstraintOperator(np.diag([4.0, 2.0]))

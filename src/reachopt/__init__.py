@@ -14,13 +14,11 @@ from .ascent import (
     TrajectoryRecord,
     TrajectoryStep,
     budget_from_config,
-    feasible_direction,
     objective_from_config,
     quadratic_objective,
     rosenbrock_objective,
     run_ascent,
     spherical_budget,
-    validate_gradient,
     write_trace_csv,
 )
 from .cones import (
@@ -32,7 +30,6 @@ from .cones import (
     is_feasible,
     phi,
     phi_curve,
-    sample_sphere,
 )
 from .directions import (
     DirectionKind,
@@ -93,7 +90,6 @@ __all__ = [
     "constant_field",
     "decompose",
     "diag_decay_field",
-    "feasible_direction",
     "find_gamma_star",
     "first_order_gain",
     "is_feasible",
@@ -106,11 +102,9 @@ __all__ = [
     "quadratic_objective",
     "rosenbrock_objective",
     "run_ascent",
-    "sample_sphere",
     "sample_unit_effort",
     "smallest_k_for_error",
     "spherical_budget",
     "truncate",
-    "validate_gradient",
     "write_trace_csv",
 ]

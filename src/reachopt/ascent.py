@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .directions import DirectionKind, DirectionResult, _modal_direction, optimal_direction
+from .directions import DirectionKind, optimal_direction
 from .errors import InfeasibleStartError
-from .operators import ConstraintOperator, OperatorField
+from .operators import OperatorField
 from .spectral import SymmetricMatrix
 
 #: The budget counts as active when kappa - C(point) drops below this.
@@ -31,13 +31,6 @@ ACTIVATION_TOLERANCE = 1e-8
 BUDGET_SLACK = 1e-8
 
 BACKTRACK_LIMIT = 20
-
-#: ``validate_gradient`` rejects a relative finite-difference mismatch above this.
-GRADIENT_CHECK_TOLERANCE = 1e-5
-
-#: Central finite-difference step of ``validate_gradient``.
-FINITE_DIFFERENCE_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class Objective:
@@ -92,32 +85,6 @@ def objective_from_config(config: dict) -> Objective:
     if kind == "rosenbrock":
         return rosenbrock_objective(float(config.get("scale", 100.0)))
     raise ValueError(f"unknown objective kind: {kind!r}")
-
-
-def validate_gradient(objective: Objective, points) -> float:
-    """Check the gradient callback against central finite differences.
-
-    Returns the worst relative mismatch over the probe points and raises
-    ``ValueError`` if it exceeds ``GRADIENT_CHECK_TOLERANCE``.
-    """
-    worst = 0.0
-    for point in points:
-        x = np.asarray(point, dtype=float)
-        grad = np.asarray(objective.gradient(x), dtype=float)
-        numeric = np.zeros_like(x)
-        for i in range(x.size):
-            bump = np.zeros_like(x)
-            bump[i] = FINITE_DIFFERENCE_STEP
-            numeric[i] = (
-                objective.evaluate(x + bump) - objective.evaluate(x - bump)
-            ) / (2.0 * FINITE_DIFFERENCE_STEP)
-        scale = max(1.0, float(np.linalg.norm(grad)))
-        worst = max(worst, float(np.linalg.norm(grad - numeric)) / scale)
-    if worst > GRADIENT_CHECK_TOLERANCE:
-        raise ValueError(
-            f"gradient mismatch {worst:.3e} exceeds tolerance {GRADIENT_CHECK_TOLERANCE:.1e}"
-        )
-    return worst
 
 
 @dataclass(frozen=True)
@@ -180,39 +147,10 @@ class TrajectoryRecord:
     final_point: np.ndarray
     final_objective: float
     final_cost: float | None
-    metadata: dict | None = None
 
 
 def _is_active(budget: BudgetConstraint, cost_value: float) -> bool:
     return (budget.kappa - cost_value) < ACTIVATION_TOLERANCE * max(1.0, budget.kappa)
-
-
-def feasible_direction(
-    operator: ConstraintOperator,
-    gradient,
-    budget: BudgetConstraint,
-    point,
-) -> DirectionResult:
-    """Ascent direction respecting both reachability and an active budget.
-
-    Away from the budget boundary this is exactly the unconstrained optimal
-    direction. At an active boundary where that direction would increase the
-    cost, it is the maximizer of the gain among reachable unit-effort
-    directions with n . d <= 0, n being the cost gradient: d ~ A+(g - mu n)
-    with mu = (c_n . c_g / lambda) / (c_n . c_n / lambda) in the coefficients
-    c = U_r'v on the retained modes. The result is degenerate, a KKT point of
-    the boundary, when g - mu n fails the degeneracy test of
-    :func:`optimal_direction`.
-    """
-    position = np.asarray(point, dtype=float)
-    cost_value = float(budget.cost(position))
-    if cost_value > budget.kappa + BUDGET_SLACK:
-        raise InfeasibleStartError(
-            f"cost {cost_value!r} exceeds the budget cap {budget.kappa!r}"
-        )
-    if not _is_active(budget, cost_value):
-        return optimal_direction(operator, gradient)
-    return _modal_direction(operator, gradient, budget.cost_gradient(position))
 
 
 def run_ascent(
@@ -222,7 +160,6 @@ def run_ascent(
     theta0,
     steps: int,
     eta: float,
-    metadata: dict | None = None,
 ) -> TrajectoryRecord:
     """Run fixed-step ascent from ``theta0`` and log every iteration.
 
@@ -234,16 +171,17 @@ def run_ascent(
     active, stops the run at that iterate without logging or leaving it; a
     non-finite cost or objective at a candidate stops it at the current
     iterate, logged with step size 0, so no logged row or final field holds
-    a non-finite value. A non-finite ``theta0``, or a non-finite
-    objective or cost there, raises ``ValueError``, and a start outside the
-    budget raises ``InfeasibleStartError``. The objective and the cost are
+    a non-finite value. A step size ``eta`` that is not positive and finite,
+    a non-finite ``theta0``, or a non-finite objective or cost there raises
+    ``ValueError``, and a start outside the budget raises
+    ``InfeasibleStartError``. The objective and the cost are
     evaluated once per point: an accepted candidate's values are logged at
     the next step.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
     theta = np.array(theta0, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta0 entries must be finite")
@@ -269,11 +207,7 @@ def run_ascent(
         if not np.all(np.isfinite(grad)) or (active and not np.all(np.isfinite(normal))):
             status = "non-finite"
             break
-        operator = operator_field(theta)
-        if active:
-            result = _modal_direction(operator, grad, normal)
-        else:
-            result = optimal_direction(operator, grad)
+        result = optimal_direction(operator_field(theta), grad, normal)
 
         step_size, next_theta, next_cost = 0.0, None, None
         if result.kind is DirectionKind.DEGENERATE:
@@ -315,7 +249,6 @@ def run_ascent(
         final_point=theta,
         final_objective=value,
         final_cost=cost_value,
-        metadata=metadata,
     )
 
 

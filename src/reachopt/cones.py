@@ -84,14 +84,6 @@ class CircularCone:
     def dim(self) -> int:
         return self.axis.shape[0]
 
-    def angle_to(self, vector) -> float:
-        """Angle between a nonzero vector and the axis, in radians."""
-        point = _unit(np.asarray(vector, dtype=float))
-        return float(_violations(point[None, :], self.axis[None, :], 0.0)[0, 0])
-
-    def contains(self, vector, tol: float = FEASIBILITY_TOLERANCE) -> bool:
-        return self.angle_to(vector) <= self.half_angle + tol
-
 
 @dataclass(frozen=True)
 class CouplingFamily:
@@ -125,8 +117,9 @@ class CouplingFamily:
         return np.stack([cone.axis for cone in self.base_cones])
 
     def enlarged_half_angles(self, gamma: float) -> np.ndarray:
-        if gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
+        """Half-angles at coupling level ``gamma``; a negative or NaN level raises."""
+        if not gamma >= 0.0:
+            raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
         base = np.array([cone.half_angle for cone in self.base_cones])
         return np.minimum(base + gamma, HALF_PI)
 
@@ -249,7 +242,7 @@ def _pivot(
 
 
 def _minimize_max_violation(
-    family: CouplingFamily, gamma: float, iterations: int
+    family: CouplingFamily, gamma: float
 ) -> tuple[float, np.ndarray, int]:
     """Active-set minimax of the worst angular violation over the unit sphere.
 
@@ -258,7 +251,7 @@ def _minimize_max_violation(
     regime (every h_i + level <= pi/2) each level is its subfamily's exact
     minimax, so levels rise and the stop is a certificate: the basis point's
     nonnegative multipliers prove no point does better. Past it levels need
-    not rise, so a repeated basis or ``iterations`` pivots also stop it.
+    not rise, so a repeated basis or ``DEFAULT_ITERATIONS`` pivots also stop it.
     Returns the least worst violation attained, its point and the pivots.
     """
     axes = family.axes_matrix()
@@ -273,7 +266,7 @@ def _minimize_max_violation(
         worst = float(violations.max())
         if worst < best_value:
             best_value, best_point = worst, point
-        if worst <= level + _LEVEL_SLACK or pivots >= iterations or basis in visited:
+        if worst <= level + _LEVEL_SLACK or pivots >= DEFAULT_ITERATIONS or basis in visited:
             return best_value, best_point, pivots
         visited.add(basis)
         level, basis, point, violations = _pivot(
@@ -292,23 +285,21 @@ def is_feasible(
     gamma: float,
     restarts: int = DEFAULT_RESTARTS,
     *,
-    iterations: int = DEFAULT_ITERATIONS,
     seed: int = 0,
 ) -> FeasibilityResult:
     """Decide whether the enlarged cones share a common unit direction.
 
     Feasible means the exact active-set minimax of the worst angular violation
-    (at most ``iterations`` pivots) is at most ``FEASIBILITY_TOLERANCE``. The
-    verdict is exact at every level, clamped or not: a feasible family's
-    minimizer has every h_i + residual <= pi/2, the convex regime where the
-    solver is exact and an infeasible verdict stops on a nonnegative-multiplier
-    certificate. ``restarts`` (at least 1) and ``seed`` (nonnegative) are
+    (at most ``DEFAULT_ITERATIONS`` pivots) is at most
+    ``FEASIBILITY_TOLERANCE``. The verdict is exact at every level, clamped or
+    not: a feasible family's minimizer has every h_i + residual <= pi/2, the
+    convex regime where the solver is exact and an infeasible verdict stops on
+    a nonnegative-multiplier certificate. A negative or NaN ``gamma`` raises
+    ``ValueError``. ``restarts`` (at least 1) and ``seed`` (nonnegative) are
     validated for call compatibility and do not change the result.
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
     _check_unused(restarts, seed)
-    residual, point, pivots = _minimize_max_violation(family, gamma, iterations)
+    residual, point, pivots = _minimize_max_violation(family, gamma)
     feasible = residual <= FEASIBILITY_TOLERANCE
     return FeasibilityResult(feasible, point if feasible else None, residual, pivots)
 
@@ -335,10 +326,10 @@ def find_gamma_star(
         If the cones share no direction even at maximal coupling, where all
         of them have opened into half-space cones.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     _check_unused(restarts, seed)
-    residual, witness, _ = _minimize_max_violation(family, 0.0, DEFAULT_ITERATIONS)
+    residual, witness, _ = _minimize_max_violation(family, 0.0)
     solves = 1
     if residual <= FEASIBILITY_TOLERANCE:
         return ThresholdResult(0.0, (0.0, 0.0), witness, 0.0, solves)
@@ -359,15 +350,6 @@ def find_gamma_star(
         else:
             low = mid
     return ThresholdResult(high, (low, high), witness, high - low, solves)
-
-
-def sample_sphere(dim: int, count: int, rng) -> np.ndarray:
-    """Uniform unit-sphere samples, shape ``(count, dim)``."""
-    generator = np.random.default_rng(rng)
-    points = generator.standard_normal((count, dim))
-    norms = np.linalg.norm(points, axis=1)
-    norms = np.maximum(norms, np.finfo(float).tiny)
-    return points / norms[:, None]
 
 
 def phi(
@@ -398,7 +380,9 @@ def phi_curve(
         raise ValueError("gamma grid must be strictly ascending")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    points = sample_sphere(family.dim, samples, seed)
+    # Normalized Gaussian samples are uniform on the unit sphere.
+    points = np.random.default_rng(seed).standard_normal((samples, family.dim))
+    points /= np.maximum(np.linalg.norm(points, axis=1), np.finfo(float).tiny)[:, None]
     angles = np.arccos(np.clip(points @ family.axes_matrix().T, -1.0, 1.0))
     curve = []
     for gamma in grid:

@@ -49,21 +49,6 @@ class DirectionResult:
     weighted_gradient_norm: float
 
 
-def optimal_direction(operator: ConstraintOperator, gradient) -> DirectionResult:
-    """Unit-effort direction maximizing first-order payoff among reachable ones.
-
-    Returns an optimal result whenever the operator-gradient product is
-    nonzero at the relative level ``DEGENERACY_FACTOR``; otherwise the
-    gradient is (numerically) a kernel direction and the degenerate branch
-    applies: every reachable direction has zero first-order payoff. The
-    gradient is first divided by the power of two of its largest entry, which
-    is exact, so every finite gradient is solved at the scale of one; a
-    result whose effort norm leaves the floating-point range is degenerate
-    with an infinite ``weighted_gradient_norm``.
-    """
-    return _modal_direction(operator, gradient, None)
-
-
 def _scaled_coefficients(basis: np.ndarray, top: float, vector: np.ndarray):
     """(c, e, level): c = U_r'v / 2^e, 2^e the power of two of max|v_i|, so the
     division is exact; level is the degeneracy bar of v / 2^e, for the largest
@@ -81,12 +66,28 @@ def _reaches(values: np.ndarray, coeffs: np.ndarray, level: float) -> bool:
     return math.sqrt(float(mapped @ mapped)) > level
 
 
-def _modal_direction(operator: ConstraintOperator, gradient, normal) -> DirectionResult:
-    """Maximizer of g . d over reachable unit-effort d, with n . d <= 0 if n is given.
+def optimal_direction(
+    operator: ConstraintOperator, gradient, normal=None
+) -> DirectionResult:
+    """Unit-effort direction maximizing first-order payoff among reachable ones.
 
-    See :func:`reachopt.ascent.feasible_direction` for the halfspace case. A
-    degenerate gradient stays degenerate, and a normal that fails the rule
-    has no reachable component and leaves the free direction.
+    Returns an optimal result whenever the operator-gradient product is
+    nonzero at the relative level ``DEGENERACY_FACTOR``; otherwise the
+    gradient is (numerically) a kernel direction and the degenerate branch
+    applies: every reachable direction has zero first-order payoff. The
+    gradient is first divided by the power of two of its largest entry, which
+    is exact, so every finite gradient is solved at the scale of one; a
+    result whose effort norm leaves the floating-point range is degenerate
+    with an infinite ``weighted_gradient_norm``.
+
+    With a ``normal`` n (a cost gradient at an active budget), the direction
+    is restricted to the halfspace n . d <= 0. Where the free direction
+    points outward, it maximizes the gain over reachable unit-effort
+    directions in that halfspace: d ~ A+(g - mu n) with
+    mu = (c_n . c_g / lambda) / (c_n . c_n / lambda), the gradient projection
+    in the pseudoinverse metric, degenerate at a KKT point of the boundary.
+    A degenerate gradient stays degenerate, and a normal that fails the
+    degeneracy rule has no reachable component and leaves the free direction.
     """
     grad = _as_vector(gradient, operator.dim, "gradient")
     spectrum, rank, top = operator.spectrum, operator.reachable_dim, operator.operator_norm

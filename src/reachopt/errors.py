@@ -36,12 +36,17 @@ class InadmissibleDirectionError(ReachoptError, ValueError):
 
 
 class InfeasibleAtMaxError(ReachoptError, RuntimeError):
-    """Even fully enlarged cones share no common direction."""
+    """Even fully enlarged cones share no common direction.
+
+    ``residual`` is a worst violation attained at the solver's point, not
+    necessarily the minimax: at maximal coupling every cone is clamped, so
+    the solve runs outside the convex regime. The verdict itself is exact.
+    """
 
     def __init__(self, residual: float) -> None:
         super().__init__(
             f"no common direction exists even at maximal coupling "
-            f"(best residual {residual:.3e} rad)"
+            f"(a residual attained: {residual:.3e} rad)"
         )
         self.residual = residual
 

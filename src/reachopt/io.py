@@ -87,6 +87,5 @@ def load_run_config(path) -> dict:
         "theta0": np.asarray(config["theta0"], dtype=float),
         "steps": int(config["steps"]),
         "eta": float(config["eta"]),
-        "metadata": config.get("metadata"),
         "out": config.get("out"),
     }

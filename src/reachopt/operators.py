@@ -27,10 +27,10 @@ class ConstraintOperator:
 
     __slots__ = ("_matrix", "_spectrum")
 
-    def __init__(self, matrix, rank_tolerance: float | None = None) -> None:
+    def __init__(self, matrix) -> None:
         sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
         self._matrix = sym
-        self._spectrum = decompose(sym, rank_tolerance)
+        self._spectrum = decompose(sym)
 
     @property
     def matrix(self) -> SymmetricMatrix:
@@ -86,9 +86,9 @@ class ConstraintOperator:
         )
 
 
-def constant_field(matrix, rank_tolerance: float | None = None) -> OperatorField:
+def constant_field(matrix) -> OperatorField:
     """Operator field that returns the same operator at every point."""
-    operator = ConstraintOperator(matrix, rank_tolerance)
+    operator = ConstraintOperator(matrix)
 
     def field(_point: np.ndarray) -> ConstraintOperator:
         return operator
@@ -96,9 +96,7 @@ def constant_field(matrix, rank_tolerance: float | None = None) -> OperatorField
     return field
 
 
-def diag_decay_field(
-    dim: int, scale: float, ratio: float, rank_tolerance: float | None = None
-) -> OperatorField:
+def diag_decay_field(dim: int, scale: float, ratio: float) -> OperatorField:
     """Constant diagonal field with geometrically decaying weights.
 
     The i-th diagonal entry is ``scale * ratio**i`` for ``i = 0..dim-1``.
@@ -108,7 +106,7 @@ def diag_decay_field(
     if scale <= 0.0 or ratio <= 0.0:
         raise ValueError("scale and ratio must be positive")
     diagonal = scale * np.power(float(ratio), np.arange(dim, dtype=float))
-    return constant_field(SymmetricMatrix.from_diagonal(diagonal), rank_tolerance)
+    return constant_field(SymmetricMatrix.from_diagonal(diagonal))
 
 
 def mask_field(mask) -> OperatorField:
@@ -129,16 +127,13 @@ def operator_field_from_config(config: dict) -> OperatorField:
         {"kind": "constant", "matrix": {"dim": n, "entries": [[...], ...]}}
         {"kind": "diag_decay", "dim": n, "scale": a, "ratio": r}
         {"kind": "mask", "mask": [1, 0, ...]}
-
-    Every kind accepts an optional ``"rank_tolerance"``.
     """
     kind = config.get("kind")
-    tol = config.get("rank_tolerance")
     if kind == "constant":
-        return constant_field(SymmetricMatrix.from_dict(config["matrix"]), tol)
+        return constant_field(SymmetricMatrix.from_dict(config["matrix"]))
     if kind == "diag_decay":
         return diag_decay_field(
-            int(config["dim"]), float(config["scale"]), float(config["ratio"]), tol
+            int(config["dim"]), float(config["scale"]), float(config["ratio"])
         )
     if kind == "mask":
         return mask_field(config["mask"])

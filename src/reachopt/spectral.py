@@ -79,20 +79,12 @@ class SymmetricMatrix:
     def dim(self) -> int:
         return self._entries.shape[0]
 
-    def apply(self, vector) -> np.ndarray:
-        """Matrix-vector product."""
-        return self._entries @ _as_vector(vector, self.dim, "vector")
-
     @classmethod
     def from_diagonal(cls, diagonal) -> "SymmetricMatrix":
         diag = np.asarray(diagonal, dtype=float)
         if diag.ndim != 1 or diag.size < 1:
             raise ValueError("diagonal must be a nonempty 1-d sequence")
         return cls(np.diag(diag))
-
-    def to_dict(self) -> dict:
-        """JSON-ready form: ``{"dim": n, "entries": [[...], ...]}``."""
-        return {"dim": self.dim, "entries": self._entries.tolist()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SymmetricMatrix":
@@ -158,10 +150,6 @@ class SpectralDecomposition:
         vec = _as_vector(vector, self.dim, "vector")
         basis = self.eigenvectors[:, : self.rank]
         return basis @ (basis.T @ vec)
-
-    def reconstruct(self) -> np.ndarray:
-        """Reassemble the matrix as the eigenvalue-weighted sum of outer products."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
 def reciprocal_outer_sum(
@@ -283,7 +271,7 @@ def decompose(
     rank_tolerance : float, optional
         Eigenvalues strictly above this count toward the rank. Defaults to
         ``1e-10`` times the largest eigenvalue, which behaves consistently
-        across matrix scales.
+        across matrix scales. A negative or NaN value raises ``ValueError``.
     max_sweeps : int
         Sweep budget before a :class:`JacobiConvergenceError` is raised.
 
@@ -297,8 +285,8 @@ def decompose(
         within ``max_sweeps`` full sweeps.
     """
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
-    if rank_tolerance is not None and rank_tolerance < 0:
-        raise ValueError("rank_tolerance must be nonnegative")
+    if rank_tolerance is not None and not rank_tolerance >= 0.0:
+        raise ValueError(f"rank_tolerance must be nonnegative, got {rank_tolerance!r}")
 
     values, vectors, sweeps, off = _jacobi_eigensystem(sym.entries, max_sweeps)
 

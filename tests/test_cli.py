@@ -172,6 +172,22 @@ class TestPhiCurveCommand:
         assert all(b >= a for a, b in zip(estimates, estimates[1:]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--tol", "nan"],
+        ["phi-curve", "--gamma-max", "nan", "--steps", "3", "--samples", "100",
+         "--seed", "1"],
+    ],
+    ids=["threshold-tol", "phi-curve-gamma-max"],
+)
+def test_nan_level_or_tolerance_fails_cleanly(argv, cones_file, capsys):
+    assert main([argv[0], "--cones", cones_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "nan" in captured.err
+
+
 class TestOptimizeCommand:
     def test_run_with_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "constant_field",
     "decompose",
     "diag_decay_field",
-    "feasible_direction",
     "find_gamma_star",
     "first_order_gain",
     "is_feasible",
@@ -42,12 +41,10 @@ PUBLIC_NAMES = [
     "quadratic_objective",
     "rosenbrock_objective",
     "run_ascent",
-    "sample_sphere",
     "sample_unit_effort",
     "smallest_k_for_error",
     "spherical_budget",
     "truncate",
-    "validate_gradient",
     "write_trace_csv",
 ]
 

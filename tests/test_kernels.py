@@ -132,7 +132,7 @@ class TestApplyWithResidual:
             assert report.residual_norm_sq == pytest.approx(
                 sum(v for _, v in report.per_mode_contributions), rel=1e-10, abs=1e-15
             )
-            full_norm = float(np.linalg.norm(spectrum.pseudoinverse().apply(gradient)))
+            full_norm = float(np.linalg.norm(spectrum.pseudoinverse().entries @ gradient))
             dense = kernel.kernel_matrix.entries @ gradient
             assert np.linalg.norm(compressed - dense) <= 1e-12 * full_norm
 
@@ -185,5 +185,5 @@ class TestOperatorIntegration:
         kernel = truncate(op.spectrum, 2)
         gradient = rng.standard_normal(5)
         compressed, report = kernel.apply_with_residual(gradient)
-        full = op.pseudoinverse.apply(gradient)
+        full = op.pseudoinverse.entries @ gradient
         assert np.allclose(compressed + report.residual_vector, full, atol=1e-12)

@@ -84,7 +84,7 @@ class TestOperatorGeometry:
             kernel_part = vector - image_part
             assert abs(float(image_part @ kernel_part)) <= 1e-10
             # The complement really is operator kernel.
-            assert np.linalg.norm(op.matrix.apply(kernel_part)) <= 1e-9
+            assert np.linalg.norm(op.matrix.entries @ kernel_part) <= 1e-9
 
     def test_operator_norm_is_top_eigenvalue(self):
         op = ConstraintOperator(np.diag([4.0, 2.0]))

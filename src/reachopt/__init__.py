@@ -13,8 +13,6 @@ from .ascent import (
     Objective,
     TrajectoryRecord,
     TrajectoryStep,
-    budget_from_config,
-    objective_from_config,
     quadratic_objective,
     rosenbrock_objective,
     run_ascent,
@@ -48,6 +46,7 @@ from .errors import (
     NotPositiveSemidefiniteError,
     ReachoptError,
 )
+from .io import budget_from_config, objective_from_config, operator_field_from_config
 from .kernels import ResidualReport, RuleKernel, smallest_k_for_error, truncate
 from .operators import (
     ConstraintOperator,
@@ -55,7 +54,6 @@ from .operators import (
     constant_field,
     diag_decay_field,
     mask_field,
-    operator_field_from_config,
 )
 from .spectral import SpectralDecomposition, SymmetricMatrix, decompose
 

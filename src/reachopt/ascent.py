@@ -61,6 +61,7 @@ def quadratic_objective(matrix, linear) -> Objective:
 
 def rosenbrock_objective(scale: float = 100.0) -> Objective:
     """Negated 2-d Rosenbrock valley, so that ascent targets the maximum at (1, 1)."""
+    scale = float(scale)
 
     def evaluate(point: np.ndarray) -> float:
         x, y = float(point[0]), float(point[1])
@@ -78,15 +79,6 @@ def rosenbrock_objective(scale: float = 100.0) -> Objective:
     return Objective(evaluate, gradient, name="rosenbrock")
 
 
-def objective_from_config(config: dict) -> Objective:
-    kind = config.get("kind")
-    if kind == "quadratic":
-        return quadratic_objective(config["matrix"], config["linear"])
-    if kind == "rosenbrock":
-        return rosenbrock_objective(float(config.get("scale", 100.0)))
-    raise ValueError(f"unknown objective kind: {kind!r}")
-
-
 @dataclass(frozen=True)
 class BudgetConstraint:
     """Cost functional with its gradient and the budget cap ``kappa``."""
@@ -96,8 +88,8 @@ class BudgetConstraint:
     kappa: float
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
 
 
 def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
@@ -115,15 +107,6 @@ def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
         return 2.0 * shifted
 
     return BudgetConstraint(cost, cost_gradient, float(kappa))
-
-
-def budget_from_config(config: dict | None) -> BudgetConstraint | None:
-    if config is None:
-        return None
-    kind = config.get("kind")
-    if kind == "sphere":
-        return spherical_budget(float(config["kappa"]), config.get("center"))
-    raise ValueError(f"unknown budget kind: {kind!r}")
 
 
 @dataclass(frozen=True)

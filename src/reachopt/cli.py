@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io
 from .ascent import run_ascent, write_trace_csv
-from .cones import DEFAULT_RESTARTS, find_gamma_star, phi_curve
+from .cones import find_gamma_star, phi_curve
 from .directions import optimal_direction
 from .errors import ReachoptError
 from .kernels import smallest_k_for_error, truncate
@@ -72,7 +72,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_threshold(args) -> int:
     family = io.load_cone_family(args.cones)
-    result = find_gamma_star(family, args.tol, args.restarts, seed=args.seed)
+    result = find_gamma_star(family, args.tol, seed=args.seed)
     _emit_json(
         {
             "gamma_star": result.gamma_star,
@@ -143,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_thr.add_argument("--cones", required=True, help="cone family JSON file")
     p_thr.add_argument("--tol", type=float, required=True, help="bracket width target")
-    p_thr.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                       help="validated (at least 1); the exact solver uses no random starts")
     p_thr.add_argument("--seed", type=int, default=0,
                        help="validated (nonnegative); the result does not depend on it")
     p_thr.set_defaults(func=_cmd_threshold)

@@ -14,6 +14,7 @@ minimax residual; only a clamp on the way calls for bisection.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -275,18 +276,7 @@ def _minimize_max_violation(
         pivots += 1
 
 
-def _check_unused(restarts: int, seed: int) -> None:
-    if restarts < 1 or seed < 0:
-        raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
-
-
-def is_feasible(
-    family: CouplingFamily,
-    gamma: float,
-    restarts: int = DEFAULT_RESTARTS,
-    *,
-    seed: int = 0,
-) -> FeasibilityResult:
+def is_feasible(family: CouplingFamily, gamma: float) -> FeasibilityResult:
     """Decide whether the enlarged cones share a common unit direction.
 
     Feasible means the exact active-set minimax of the worst angular violation
@@ -295,10 +285,8 @@ def is_feasible(
     not: a feasible family's minimizer has every h_i + residual <= pi/2, the
     convex regime where the solver is exact and an infeasible verdict stops on
     a nonnegative-multiplier certificate. A negative or NaN ``gamma`` raises
-    ``ValueError``. ``restarts`` (at least 1) and ``seed`` (nonnegative) are
-    validated for call compatibility and do not change the result.
+    ``ValueError``.
     """
-    _check_unused(restarts, seed)
     residual, point, pivots = _minimize_max_violation(family, gamma)
     feasible = residual <= FEASIBILITY_TOLERANCE
     return FeasibilityResult(feasible, point if feasible else None, residual, pivots)
@@ -317,8 +305,9 @@ def find_gamma_star(
     fall one-for-one with the level. If the level-0 minimizer is feasible at
     ``r`` (so whenever ``r + max h_i <= pi/2``), the bracket is
     ``(max(0, r - tol/2), r)``; else a cone clamps and ``[r, pi/2]`` is
-    bisected with exact verdicts. ``restarts`` and ``seed`` are validated as in
-    :func:`is_feasible` and do not change the result.
+    bisected with exact verdicts. ``restarts`` (at least 1) and ``seed``
+    (nonnegative) are validated for call compatibility and do not change the
+    result.
 
     Raises
     ------
@@ -328,7 +317,8 @@ def find_gamma_star(
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    _check_unused(restarts, seed)
+    if restarts < 1 or seed < 0:
+        raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
     residual, witness, _ = _minimize_max_violation(family, 0.0)
     solves = 1
     if residual <= FEASIBILITY_TOLERANCE:
@@ -369,25 +359,30 @@ def phi_curve(
 ) -> list[tuple[float, float, float]]:
     """Measure estimates along an ascending grid with common random numbers.
 
-    One sample set is shared across all grid points, so the estimated curve
-    is exactly monotone nondecreasing: each sample's membership indicator can
-    only switch on as the cones enlarge.
+    One sample set is shared across all grid points, and each sample is
+    counted from the one level at which it enters every enlarged cone, so the
+    estimated curve is exactly monotone nondecreasing. A negative or NaN
+    level raises ``ValueError``.
     """
     grid = [float(g) for g in gammas]
-    if not grid:
-        raise ValueError("gamma grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("gamma grid must be strictly ascending")
+    if not (grid and grid[0] >= 0.0 and all(b > a for a, b in zip(grid, grid[1:]))):
+        raise ValueError(
+            f"gamma grid must be nonempty, nonnegative and strictly ascending, "
+            f"got {reprlib.repr(grid)}"
+        )
     if samples < 1:
         raise ValueError("samples must be at least 1")
     # Normalized Gaussian samples are uniform on the unit sphere.
     points = np.random.default_rng(seed).standard_normal((samples, family.dim))
     points /= np.maximum(np.linalg.norm(points, axis=1), np.finfo(float).tiny)[:, None]
     angles = np.arccos(np.clip(points @ family.axes_matrix().T, -1.0, 1.0))
+    # A sample lies inside every enlarged cone from the level max_i(angle_i - h_i)
+    # on, unless some angle exceeds the right angle at which the cones clamp.
+    entry = np.max(angles - family.enlarged_half_angles(0.0), axis=1)
+    entry[np.max(angles, axis=1) > HALF_PI] = np.inf
     curve = []
     for gamma in grid:
-        inside = np.all(angles <= family.enlarged_half_angles(gamma)[None, :], axis=1)
-        estimate = float(np.mean(inside))
+        estimate = float(np.count_nonzero(entry <= gamma)) / samples
         std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
         curve.append((gamma, estimate, std_error))
     return curve

@@ -1,16 +1,29 @@
-"""JSON readers for the CLI file formats."""
+"""JSON readers: the one owner of the CLI file formats.
+
+Each JSON object goes to one function as keyword arguments: a ``"kind"``
+object to the builder its kind names, any other to a private reader. The
+parameter names are the format, their defaults its defaults, and an unknown
+or missing key raises ``ValueError`` naming the key.
+"""
 
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 
 import numpy as np
 
-from .ascent import budget_from_config, objective_from_config
+from .ascent import (
+    BudgetConstraint,
+    Objective,
+    quadratic_objective,
+    rosenbrock_objective,
+    spherical_budget,
+)
 from .cones import CircularCone, CouplingFamily
-from .operators import operator_field_from_config
+from .operators import OperatorField, constant_field, diag_decay_field, mask_field
 from .spectral import SymmetricMatrix
 
 
@@ -21,22 +34,95 @@ def _names_file(load):
     def checked(path):
         try:
             return load(path)
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing key {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
     return checked
 
 
+def _call(builder, arguments, what: str):
+    """``builder(**arguments)``, raising an unknown or missing key as ``ValueError``."""
+    if not isinstance(arguments, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    try:
+        inspect.signature(builder).bind(**arguments)
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    return builder(**arguments)
+
+
+def _build(kinds: dict, config, what: str):
+    """Call the builder that ``config["kind"]`` names with the other keys as arguments."""
+    kind = config.get("kind")
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind: {kind!r}")
+    arguments = {key: value for key, value in config.items() if key != "kind"}
+    return _call(kinds[kind], arguments, f"{what} {kind!r}")
+
+
+def _matrix(entries, dim=None) -> SymmetricMatrix:
+    """The matrix object ``{"dim": n, "entries": [[...], ...]}``; ``dim`` is optional."""
+    matrix = SymmetricMatrix(entries)
+    if dim is not None and dim != matrix.dim:
+        raise ValueError(f"declared dim {dim!r} does not match entries of dim {matrix.dim}")
+    return matrix
+
+
+def _cone(axis, half_angle_deg) -> CircularCone:
+    """One item of a cone family file."""
+    return CircularCone(np.asarray(axis, dtype=float), math.radians(float(half_angle_deg)))
+
+
+def _run(objective, operator_field, theta0, steps, eta, budget=None, out=None) -> dict:
+    """The top level of an ``optimize`` configuration."""
+    if not float(steps).is_integer():
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    return {
+        "objective": objective_from_config(objective),
+        "operator_field": operator_field_from_config(operator_field),
+        "budget": budget_from_config(budget),
+        "theta0": np.asarray(theta0, dtype=float),
+        "steps": int(steps),
+        "eta": float(eta),
+        "out": out,
+    }
+
+
+def objective_from_config(config: dict) -> Objective:
+    """``{"kind": "quadratic", "matrix": ..., "linear": ...}`` or ``{"kind": "rosenbrock"}``."""
+    kinds = {"quadratic": quadratic_objective, "rosenbrock": rosenbrock_objective}
+    return _build(kinds, config, "objective")
+
+
+def operator_field_from_config(config: dict) -> OperatorField:
+    """Build an operator field from its JSON configuration.
+
+    Supported kinds::
+
+        {"kind": "constant", "matrix": {"dim": n, "entries": [[...], ...]}}
+        {"kind": "diag_decay", "dim": n, "scale": a, "ratio": r}
+        {"kind": "mask", "mask": [1, 0, ...]}
+    """
+    kinds = {
+        "constant": lambda matrix: constant_field(_call(_matrix, matrix, "matrix")),
+        "diag_decay": diag_decay_field,
+        "mask": mask_field,
+    }
+    return _build(kinds, config, "operator field")
+
+
+def budget_from_config(config: dict | None) -> BudgetConstraint | None:
+    """``{"kind": "sphere", "kappa": k, "center": [...]}``; ``None`` means no budget."""
+    if config is None:
+        return None
+    return _build({"sphere": spherical_budget}, config, "budget")
+
+
 @_names_file
 def load_matrix(path) -> SymmetricMatrix:
     """Read ``{"dim": n, "entries": [[...], ...]}``."""
     with open(path) as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError('expected a JSON object with "entries"')
-    return SymmetricMatrix.from_dict(payload)
+        return _call(_matrix, json.load(handle), "matrix")
 
 
 @_names_file
@@ -59,14 +145,7 @@ def load_cone_family(path) -> CouplingFamily:
         payload = json.load(handle)
     if not isinstance(payload, list):
         raise ValueError("expected a JSON list of cones")
-    cones = [
-        CircularCone(
-            axis=np.asarray(item["axis"], dtype=float),
-            half_angle=math.radians(float(item["half_angle_deg"])),
-        )
-        for item in payload
-    ]
-    return CouplingFamily(tuple(cones))
+    return CouplingFamily(tuple(_call(_cone, item, "cone") for item in payload))
 
 
 @_names_file
@@ -77,15 +156,4 @@ def load_run_config(path) -> dict:
     together with ``"out"``, the optional trace CSV path.
     """
     with open(path) as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict):
-        raise ValueError("expected a JSON object")
-    return {
-        "objective": objective_from_config(config["objective"]),
-        "operator_field": operator_field_from_config(config["operator_field"]),
-        "budget": budget_from_config(config.get("budget")),
-        "theta0": np.asarray(config["theta0"], dtype=float),
-        "steps": int(config["steps"]),
-        "eta": float(config["eta"]),
-        "out": config.get("out"),
-    }
+        return _call(_run, json.load(handle), "run config")

@@ -101,12 +101,12 @@ def diag_decay_field(dim: int, scale: float, ratio: float) -> OperatorField:
 
     The i-th diagonal entry is ``scale * ratio**i`` for ``i = 0..dim-1``.
     """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    if not (float(dim).is_integer() and dim >= 1):
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if scale <= 0.0 or ratio <= 0.0:
         raise ValueError("scale and ratio must be positive")
     diagonal = scale * np.power(float(ratio), np.arange(dim, dtype=float))
-    return constant_field(SymmetricMatrix.from_diagonal(diagonal))
+    return constant_field(np.diag(diagonal))
 
 
 def mask_field(mask) -> OperatorField:
@@ -116,25 +116,4 @@ def mask_field(mask) -> OperatorField:
         raise ValueError("mask must be a nonempty 1-d sequence")
     if not np.all(np.isin(arr, (0.0, 1.0))):
         raise ValueError("mask entries must be 0 or 1")
-    return constant_field(SymmetricMatrix.from_diagonal(arr))
-
-
-def operator_field_from_config(config: dict) -> OperatorField:
-    """Build an operator field from its JSON configuration.
-
-    Supported kinds::
-
-        {"kind": "constant", "matrix": {"dim": n, "entries": [[...], ...]}}
-        {"kind": "diag_decay", "dim": n, "scale": a, "ratio": r}
-        {"kind": "mask", "mask": [1, 0, ...]}
-    """
-    kind = config.get("kind")
-    if kind == "constant":
-        return constant_field(SymmetricMatrix.from_dict(config["matrix"]))
-    if kind == "diag_decay":
-        return diag_decay_field(
-            int(config["dim"]), float(config["scale"]), float(config["ratio"])
-        )
-    if kind == "mask":
-        return mask_field(config["mask"])
-    raise ValueError(f"unknown operator field kind: {kind!r}")
+    return constant_field(np.diag(arr))

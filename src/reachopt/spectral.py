@@ -28,6 +28,7 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 #: Default rank cut, relative to the largest eigenvalue.
 RELATIVE_RANK_TOLERANCE = 1e-10
 
+#: Jacobi sweeps allowed before ``decompose`` raises ``JacobiConvergenceError``.
 DEFAULT_MAX_SWEEPS = 100
 
 _SIGN_TOLERANCE = 1e-12
@@ -46,12 +47,14 @@ def _as_square_array(entries) -> np.ndarray:
 
 
 def _as_vector(values, dim: int, name: str) -> np.ndarray:
-    """``values`` as a float vector of shape ``(dim,)``; ``name`` labels the error."""
+    """``values`` as a finite float vector of shape ``(dim,)``; ``name`` labels the error."""
     vec = np.asarray(values, dtype=float)
     if vec.shape != (dim,):
         raise DimensionMismatchError(
             f"{name} of shape {vec.shape} does not match dimension {dim}"
         )
+    if not all(map(math.isfinite, vec.tolist())):
+        raise ValueError(f"{name} entries must be finite")
     return vec
 
 
@@ -78,24 +81,6 @@ class SymmetricMatrix:
     @property
     def dim(self) -> int:
         return self._entries.shape[0]
-
-    @classmethod
-    def from_diagonal(cls, diagonal) -> "SymmetricMatrix":
-        diag = np.asarray(diagonal, dtype=float)
-        if diag.ndim != 1 or diag.size < 1:
-            raise ValueError("diagonal must be a nonempty 1-d sequence")
-        return cls(np.diag(diag))
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SymmetricMatrix":
-        entries = payload["entries"]
-        matrix = cls(entries)
-        declared = payload.get("dim")
-        if declared is not None and int(declared) != matrix.dim:
-            raise ValueError(
-                f"declared dim {declared} does not match entries of dim {matrix.dim}"
-            )
-        return matrix
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix(dim={self.dim})"
@@ -193,9 +178,7 @@ def _round_robin_destinations(m: int) -> np.ndarray:
     return destination.reshape(-1, 2).T
 
 
-def _jacobi_eigensystem(
-    matrix: np.ndarray, max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray, int, float]:
+def _jacobi_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
     n = matrix.shape[0]
     m = n + n % 2
     width = m + n
@@ -226,7 +209,7 @@ def _jacobi_eigensystem(
     sweeps = 0
     with np.errstate(invalid="ignore"):
         while off > target:
-            if sweeps >= max_sweeps:
+            if sweeps >= DEFAULT_MAX_SWEEPS:
                 raise JacobiConvergenceError(off, sweeps)
             for _ in range(m - 1):
                 app, aqq, apq = state.ravel()[pair_entries]
@@ -254,11 +237,7 @@ def _canonicalize_signs(vectors: np.ndarray) -> None:
     vectors[:, flip] = -vectors[:, flip]
 
 
-def decompose(
-    matrix,
-    rank_tolerance: float | None = None,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> SpectralDecomposition:
+def decompose(matrix, rank_tolerance: float | None = None) -> SpectralDecomposition:
     """Eigendecompose a symmetric PSD matrix with round-robin Jacobi rotations.
 
     Each sweep runs m - 1 rounds, m being the dimension rounded up to even;
@@ -272,8 +251,6 @@ def decompose(
         Eigenvalues strictly above this count toward the rank. Defaults to
         ``1e-10`` times the largest eigenvalue, which behaves consistently
         across matrix scales. A negative or NaN value raises ``ValueError``.
-    max_sweeps : int
-        Sweep budget before a :class:`JacobiConvergenceError` is raised.
 
     Raises
     ------
@@ -282,13 +259,13 @@ def decompose(
         are clamped to zero as rounding noise.
     JacobiConvergenceError
         If the off-diagonal norm has not reached the convergence target
-        within ``max_sweeps`` full sweeps.
+        within ``DEFAULT_MAX_SWEEPS`` full sweeps.
     """
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
     if rank_tolerance is not None and not rank_tolerance >= 0.0:
         raise ValueError(f"rank_tolerance must be nonnegative, got {rank_tolerance!r}")
 
-    values, vectors, sweeps, off = _jacobi_eigensystem(sym.entries, max_sweeps)
+    values, vectors, sweeps, off = _jacobi_eigensystem(sym.entries)
 
     order = np.argsort(-values, kind="stable")
     values = values[order]

@@ -125,6 +125,24 @@ def sphere_angles(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return np.arctan2(sines, cosines)
 
 
+def phi_curve_by_level(
+    axes: np.ndarray, half_angles: np.ndarray, grid, samples: int, seed: int
+) -> list[float]:
+    """Measure estimates with one membership test per grid level.
+
+    Draws the same normalized Gaussian samples as ``phi_curve`` and counts,
+    at each level, the samples within every half-angle enlarged by it and
+    clamped at a right angle.
+    """
+    points = np.random.default_rng(seed).standard_normal((samples, axes.shape[1]))
+    points /= np.maximum(np.linalg.norm(points, axis=1), np.finfo(float).tiny)[:, None]
+    angles = np.arccos(np.clip(points @ axes.T, -1.0, 1.0))
+    return [
+        float(np.mean(np.all(angles <= np.minimum(half_angles + gamma, math.pi / 2), axis=1)))
+        for gamma in grid
+    ]
+
+
 def _subset_balance_points(axes: np.ndarray, half_angles: np.ndarray) -> list[np.ndarray]:
     """Points at equal violation t on every cone of the subset, from u = tan t.
 

@@ -59,8 +59,11 @@ class TestBudget:
         assert budget.cost(np.array([1.0, 0.0])) == 0.0
 
     def test_kappa_validation(self):
-        with pytest.raises(ValueError):
-            BudgetConstraint(lambda x: 0.0, lambda x: x, 0.0)
+        for kappa in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                BudgetConstraint(lambda x: 0.0, lambda x: x, kappa)
+            with pytest.raises(ValueError):
+                spherical_budget(kappa)
 
     def test_config(self):
         budget = budget_from_config({"kind": "sphere", "kappa": 2.0})

@@ -280,3 +280,67 @@ class TestOptimizeCommand:
         config_path.write_text(json.dumps(config))
         assert main(["optimize", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {config_path}: ")
+
+
+def _run_config(**changes):
+    config = {
+        "objective": {"kind": "quadratic", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                      "linear": [0.3, -0.2]},
+        "operator_field": {"kind": "constant",
+                           "matrix": {"dim": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}},
+        "budget": {"kind": "sphere", "kappa": 1.0},
+        "theta0": [0.0, 0.0],
+        "steps": 5,
+        "eta": 0.001,
+    }
+    config.update(changes)
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("direction", {"dim": 2, "entries": [[1.0, 0.0], [0.0, 1.0]], "symmetric": True},
+         "symmetric"),
+        ("threshold", [{"axis": [1.0, 0.0], "half_angle_deg": 20.0, "half_angle": 0.3}],
+         "half_angle"),
+        ("optimize", _run_config(budgte=None), "budgte"),
+        ("optimize", _run_config(objective={"kind": "rosenbrock", "scale": 1.0, "shift": 1.0}),
+         "shift"),
+        ("optimize", _run_config(operator_field={
+            "kind": "diag_decay", "dim": 2, "scale": 1.0, "ratio": 1e-6, "rank_tolerance": 1e-3,
+        }), "rank_tolerance"),
+        ("optimize", _run_config(budget={"kind": "sphere", "kappa": 1.0, "radius": 1.0}),
+         "radius"),
+    ],
+    ids=["matrix", "cone", "run-config", "objective", "operator-field", "budget"],
+)
+def test_unknown_key_fails_naming_file_and_key(command, payload, key, gradient_file, tmp_path,
+                                               capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    option = {"direction": "--operator", "threshold": "--cones", "optimize": "--config"}[command]
+    extra = {"direction": ["--gradient", gradient_file], "threshold": ["--tol", "1e-3"],
+             "optimize": []}[command]
+    assert main([command, option, str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and repr(key) in captured.err
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"budget": {"kind": "sphere", "kappa": math.nan}},
+        {"budget": {"kind": "sphere", "kappa": math.inf}},
+        {"steps": 2.5},
+    ],
+    ids=["nan-kappa", "infinite-kappa", "fractional-steps"],
+)
+def test_bad_run_value_fails_naming_file(changes, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_run_config(**changes)))
+    assert main(["optimize", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")

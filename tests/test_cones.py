@@ -19,6 +19,7 @@ from reachopt import (
 from oracles import (
     angle_between,
     enumerated_minimax,
+    phi_curve_by_level,
     spherical_cap_fraction_3d,
     two_cone_feasible,
     two_cone_gamma_star,
@@ -150,7 +151,10 @@ class TestCouplingFamily:
         estimates = [estimate for _, estimate, _ in curve]
         assert all(b >= a for a, b in zip(estimates, estimates[1:]))
         for estimate in estimates:
+            assert type(estimate) is float
             assert estimate == round(estimate * samples) / samples
+        halves = family.enlarged_half_angles(0.0)
+        assert estimates == phi_curve_by_level(family.axes_matrix(), halves, grid, samples, seed)
         assert phi_curve(family, grid, samples, seed) == curve
 
     def test_convexity_spot_check(self):
@@ -215,10 +219,6 @@ class TestIsFeasible:
         for gamma in (-0.1, math.nan):
             with pytest.raises(ValueError):
                 is_feasible(family, gamma)
-        with pytest.raises(ValueError):
-            is_feasible(family, 0.0, restarts=0)
-        with pytest.raises(ValueError):
-            is_feasible(family, 0.0, seed=-1)
 
     def test_hemispheres_meeting_in_one_ray(self):
         # The first three axes sum to zero, so their hemispheres share only the
@@ -237,7 +237,7 @@ class TestIsFeasible:
             count = int(rng.integers(2, 5))
             family = random_family(rng, dim, count)
             verdicts = [
-                is_feasible(family, gamma, restarts=16).feasible
+                is_feasible(family, gamma).feasible
                 for gamma in (0.0, 0.3, 0.8, math.pi / 2)
             ]
             for earlier, later in zip(verdicts, verdicts[1:]):
@@ -261,9 +261,9 @@ class TestIsFeasible:
         else:
             family = centred_family(seed, dim + 1, count, gap)
         widest = max(cone.half_angle for cone in family.base_cones)
-        at_zero = is_feasible(family, 0.0, restarts=16).residual
+        at_zero = is_feasible(family, 0.0).residual
         gamma = fraction * min(at_zero, math.pi / 2 - widest)
-        at_gamma = is_feasible(family, gamma, restarts=16).residual
+        at_gamma = is_feasible(family, gamma).residual
         assert at_gamma == pytest.approx(at_zero - gamma, abs=1e-12)
 
     @settings(max_examples=400)
@@ -340,6 +340,10 @@ class TestFindGammaStar:
         for tol in (0.0, math.nan):
             with pytest.raises(ValueError):
                 find_gamma_star(family, tol)
+        with pytest.raises(ValueError):
+            find_gamma_star(family, 1e-3, restarts=0)
+        with pytest.raises(ValueError):
+            find_gamma_star(family, 1e-3, seed=-1)
 
     def test_random_two_cone_matches_oracle(self):
         rng = np.random.default_rng(55)
@@ -521,3 +525,6 @@ class TestPhiCurve:
             phi_curve(family, [0.0, 0.0], 100, seed=0)
         with pytest.raises(ValueError):
             phi_curve(family, [0.2, 0.1], 100, seed=0)
+        for grid in ([0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [-0.1, 0.2]):
+            with pytest.raises(ValueError):
+                phi_curve(family, grid, 100, seed=0)

@@ -12,6 +12,7 @@ from reachopt import (
     first_order_gain,
     optimal_direction,
     sample_unit_effort,
+    truncate,
 )
 from conftest import random_mild_psd, random_psd
 from oracles import angle_between
@@ -179,6 +180,22 @@ class TestOptimalDirection:
         assert result.kind is DirectionKind.DEGENERATE
         samples = sample_unit_effort(op, 5000, rng=rng)
         assert float(np.max(np.abs(samples @ gradient))) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda op, v: optimal_direction(op, v),
+        lambda op, v: optimal_direction(op, [1.0, 0.0], v),
+        lambda op, v: op.project_onto_image(v),
+        lambda op, v: truncate(op.spectrum, 1).apply_with_residual(v),
+    ],
+    ids=["gradient", "normal", "project_onto_image", "apply_with_residual"],
+)
+def test_non_finite_vector_raises(call, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        call(ConstraintOperator(np.eye(2)), [bad, 0.0])
 
 
 class TestFirstOrderGain:

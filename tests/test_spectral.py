@@ -14,6 +14,7 @@ from reachopt import (
     SymmetricMatrix,
     decompose,
 )
+from reachopt import spectral
 from reachopt.spectral import _canonicalize_signs, _jacobi_eigensystem, _round_robin_destinations
 from conftest import random_gram_psd, random_orthogonal, random_psd
 from oracles import eigenvalues_by_charpoly, moore_penrose_residuals
@@ -41,10 +42,6 @@ class TestSymmetricMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SymmetricMatrix([[np.nan, 0.0], [0.0, 1.0]])
-
-    def test_dict_rejects_wrong_dim(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix.from_dict({"dim": 3, "entries": [[1.0]]})
 
 
 class TestDecompose:
@@ -115,10 +112,11 @@ class TestDecompose:
         with pytest.raises(NotPositiveSemidefiniteError):
             decompose(np.diag([1.0, -1.0]))
 
-    def test_nonconvergence_carries_residual(self):
+    def test_nonconvergence_carries_residual(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_SWEEPS", 0)
         matrix = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(JacobiConvergenceError) as excinfo:
-            decompose(matrix, max_sweeps=0)
+            decompose(matrix)
         assert excinfo.value.off_diagonal_residual > 0.0
 
     def test_rejects_negative_rank_tolerance(self):
@@ -203,7 +201,7 @@ class TestRoundRobinJacobi:
     def test_sign_canonicalization_matches_column_loop(self):
         basis = random_orthogonal(np.random.default_rng(8), 8)
         values = np.array([3.0, 3.0, 3.0, 1.0, 1.0, 0.5, 0.0, 0.0])
-        _, vectors, _, _ = _jacobi_eigensystem((basis * values) @ basis.T, 100)
+        _, vectors, _, _ = _jacobi_eigensystem((basis * values) @ basis.T)
         vectors[:, 2] = -vectors[:, 2]
         vectors[0, 1] = 1e-13  # below the tolerance, so the next entry decides
         vectors[:, 5] = 0.0  # no entry above the tolerance: left alone

@@ -160,6 +160,14 @@ def run_ascent(
     ``InfeasibleStartError``. The objective and the cost are
     evaluated once per point: an accepted candidate's values are logged at
     the next step.
+
+    An operator from the field that is not yet decomposed, and has the
+    previous step's dimension, is decomposed with Jacobi started from the
+    previous step's eigenvectors: along a point-dependent field the basis
+    turns little per step, so fewer sweeps are needed. Its bits then depend
+    on the trajectory so far, and repeat runs still match. Operators of the
+    built-in fields are decomposed when the field is made, so their runs
+    keep the cold bits.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -183,6 +191,7 @@ def run_ascent(
 
     rows: list[TrajectoryStep] = []
     status = "completed"
+    spectrum = None
     for index in range(steps):
         grad = np.asarray(objective.gradient(theta), dtype=float)
         active = budget is not None and _is_active(budget, cost_value)
@@ -190,7 +199,9 @@ def run_ascent(
         if not np.all(np.isfinite(grad)) or (active and not np.all(np.isfinite(normal))):
             status = "non-finite"
             break
-        result = optimal_direction(operator_field(theta), grad, normal)
+        operator = operator_field(theta)
+        spectrum = operator._spectrum_near(spectrum)
+        result = optimal_direction(operator, grad, normal)
 
         step_size, next_theta, next_cost = 0.0, None, None
         if result.kind is DirectionKind.DEGENERATE:

@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ReachoptError, ValueError, OSError, KeyError) as exc:
+    except (ReachoptError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -90,7 +90,8 @@ def optimal_direction(
     degeneracy rule has no reachable component and leaves the free direction.
     """
     grad = _as_vector(gradient, operator.dim, "gradient")
-    spectrum, rank, top = operator.spectrum, operator.reachable_dim, operator.operator_norm
+    spectrum = operator.spectrum
+    rank, top = spectrum.rank, float(spectrum.eigenvalues[0])
     values, basis = spectrum.eigenvalues[:rank], spectrum.eigenvectors[:, :rank]
     coeffs, exponent, level = _scaled_coefficients(basis, top, grad)
     if normal is not None:

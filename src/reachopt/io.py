@@ -74,10 +74,14 @@ def _cone(axis, half_angle_deg) -> CircularCone:
 
 
 def _run(objective, operator_field, theta0, steps, eta, budget=None, out=None) -> dict:
-    """The top level of an ``optimize`` configuration."""
+    """The top level of an ``optimize`` configuration.
+
+    The objective's gradient and the operator field's ``dim`` at ``theta0``
+    must match its length; a mismatch raises ``ValueError`` naming the key.
+    """
     if not float(steps).is_integer():
         raise ValueError(f"steps must be an integer, got {steps!r}")
-    return {
+    run = {
         "objective": objective_from_config(objective),
         "operator_field": operator_field_from_config(operator_field),
         "budget": budget_from_config(budget),
@@ -86,6 +90,18 @@ def _run(objective, operator_field, theta0, steps, eta, budget=None, out=None) -
         "eta": float(eta),
         "out": out,
     }
+    theta = run["theta0"]
+    if theta.ndim != 1 or not np.all(np.isfinite(theta)):
+        raise ValueError("theta0 must be a flat array of finite numbers")
+    try:
+        gradient_shape = np.shape(run["objective"].gradient(theta))
+    except (IndexError, ValueError) as exc:  # a built-in payoff of another dimension
+        raise ValueError(f"objective at theta0: {exc}") from None
+    field_shape = (run["operator_field"](theta).dim,)
+    for key, shape in (("objective", gradient_shape), ("operator_field", field_shape)):
+        if shape != theta.shape:
+            raise ValueError(f"{key} at theta0 has shape {shape}, theta0 has {theta.shape}")
+    return run
 
 
 def objective_from_config(config: dict) -> Objective:

@@ -1,10 +1,12 @@
 """Constraint operators: reachable-subspace geometry and the quadratic effort form.
 
 A :class:`ConstraintOperator` wraps a PSD symmetric matrix together with its
-cached spectral decomposition. Its image is the subspace of directions that
-are reachable at all, and the quadratic form prices how costly each reachable
-direction is. Operator fields map points to operators; the built-in fields
-are constant in the point, but any pure callable works.
+spectral decomposition, computed on first use; the first consumer decides
+how. Its image is the subspace of directions that are reachable at all, and
+the quadratic form prices how costly each reachable direction is. Operator
+fields map points to operators; the built-in fields are constant in the
+point and decompose their operator when they are created, but any pure
+callable works.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, SymmetricMatrix, _as_vector, decompose
+from .spectral import (
+    SpectralDecomposition,
+    SymmetricMatrix,
+    _as_vector,
+    _decompose,
+    decompose,
+)
 
 OperatorField = Callable[[np.ndarray], "ConstraintOperator"]
 
@@ -21,8 +29,12 @@ OperatorField = Callable[[np.ndarray], "ConstraintOperator"]
 class ConstraintOperator:
     """PSD operator whose image is the reachable subspace.
 
-    Immutable after construction; the spectral decomposition is computed once
-    and shared by every downstream consumer.
+    The matrix is fixed at construction. The spectral decomposition is
+    computed on first use and then shared by every downstream consumer; the
+    first consumer decides how. ``.spectrum`` runs a cold ``decompose``;
+    ``run_ascent`` starts Jacobi from the previous step's eigenvectors. A
+    matrix that is not PSD raises ``NotPositiveSemidefiniteError`` at that
+    first use.
     """
 
     __slots__ = ("_matrix", "_spectrum")
@@ -30,7 +42,7 @@ class ConstraintOperator:
     def __init__(self, matrix) -> None:
         sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
         self._matrix = sym
-        self._spectrum = decompose(sym)
+        self._spectrum: SpectralDecomposition | None = None
 
     @property
     def matrix(self) -> SymmetricMatrix:
@@ -38,7 +50,16 @@ class ConstraintOperator:
 
     @property
     def spectrum(self) -> SpectralDecomposition:
+        if self._spectrum is None:
+            self._spectrum = decompose(self._matrix)
         return self._spectrum
+
+    def _spectrum_near(self, previous: SpectralDecomposition | None) -> SpectralDecomposition:
+        """The spectrum; computed here, Jacobi starts from ``previous``'s
+        eigenvectors when they have this dimension."""
+        if self._spectrum is None and previous is not None and previous.dim == self.dim:
+            self._spectrum = _decompose(self._matrix, start=previous.eigenvectors)
+        return self.spectrum
 
     @property
     def dim(self) -> int:
@@ -46,19 +67,19 @@ class ConstraintOperator:
 
     @property
     def reachable_dim(self) -> int:
-        return self._spectrum.rank
+        return self.spectrum.rank
 
     @property
     def operator_norm(self) -> float:
         """Largest eigenvalue (zero for the zero operator)."""
-        return float(self._spectrum.eigenvalues[0])
+        return float(self.spectrum.eigenvalues[0])
 
     @property
     def pseudoinverse(self) -> SymmetricMatrix:
-        return self._spectrum.pseudoinverse()
+        return self.spectrum.pseudoinverse()
 
     def project_onto_image(self, vector) -> np.ndarray:
-        return self._spectrum.project_onto_image(vector)
+        return self.spectrum.project_onto_image(vector)
 
     def effort(self, direction) -> float:
         """Quadratic form of the operator: the squared cost of a variation.
@@ -87,8 +108,13 @@ class ConstraintOperator:
 
 
 def constant_field(matrix) -> OperatorField:
-    """Operator field that returns the same operator at every point."""
+    """Operator field that returns the same operator at every point.
+
+    The operator is decomposed here, cold: a matrix that is not PSD raises at
+    once, and every run of the field shares the same spectrum.
+    """
     operator = ConstraintOperator(matrix)
+    operator.spectrum  # decompose now, not at the first point
 
     def field(_point: np.ndarray) -> ConstraintOperator:
         return operator

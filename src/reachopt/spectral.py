@@ -5,6 +5,10 @@ round-robin Jacobi sweeps in a fixed order using elementwise arithmetic only,
 eigenvalues are ordered descending with a stable sort, and each eigenvector's
 first nonzero component is flipped to be positive. Decompositions of the same
 matrix are therefore bit-identical across runs and BLAS thread counts.
+``run_ascent`` starts Jacobi from the previous step's eigenvectors when a
+point-dependent field hands it an operator not yet decomposed, so those bits
+also depend on the trajectory so far; repeat runs still match, at every BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -178,15 +182,25 @@ def _round_robin_destinations(m: int) -> np.ndarray:
     return destination.reshape(-1, 2).T
 
 
-def _jacobi_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+def _jacobi_eigensystem(
+    matrix: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int, float]:
     n = matrix.shape[0]
     m = n + n % 2
     width = m + n
     # Each row holds a row of the working matrix (an odd n gets a zero pad row
     # and column, which never rotate) followed by one eigenvector.
     state = np.zeros((m, width))
-    state[:n, :n] = matrix
-    state[:, m:] = np.eye(m, n)
+    if start is None:
+        state[:n, :n] = matrix
+        state[:, m:] = np.eye(m, n)
+    else:
+        # Work on V0^T A V0, symmetrized as the rotations below assume, with
+        # eigenvector rows V0^T. einsum without optimize= calls no BLAS, so the
+        # bits still do not depend on threads.
+        rotated = np.einsum("ki,kj->ij", start, np.einsum("ik,kj->ij", matrix, start))
+        state[:n, :n] = (rotated + rotated.T) / 2.0
+        state[:n, m:] = start.T
     scale = float(np.sqrt(np.sum(matrix * matrix)))
     target = _CONVERGENCE_FACTOR * max(1.0, scale)
     # Elements this small cannot keep the off-diagonal norm above target.
@@ -264,8 +278,19 @@ def decompose(matrix, rank_tolerance: float | None = None) -> SpectralDecomposit
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
     if rank_tolerance is not None and not rank_tolerance >= 0.0:
         raise ValueError(f"rank_tolerance must be nonnegative, got {rank_tolerance!r}")
+    return _decompose(sym, rank_tolerance)
 
-    values, vectors, sweeps, off = _jacobi_eigensystem(sym.entries)
+
+def _decompose(
+    sym: SymmetricMatrix, rank_tolerance: float | None = None, start: np.ndarray | None = None
+) -> SpectralDecomposition:
+    """``decompose`` on a validated matrix, Jacobi started from the orthogonal ``start``.
+
+    A ``start`` close to the eigenvectors leaves the rotated matrix nearly
+    diagonal, so Jacobi's quadratic convergence needs fewer sweeps, at the
+    cost of about ``|A| * eps`` absolute error from the basis change.
+    """
+    values, vectors, sweeps, off = _jacobi_eigensystem(sym.entries, start)
 
     order = np.argsort(-values, kind="stable")
     values = values[order]

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from reachopt import ConstraintOperator, Objective
 
 # Property tests draw a fixed example sequence, so the suite stays deterministic.
 settings.register_profile("reachopt", derandomize=True, deadline=None)
@@ -42,6 +46,38 @@ def random_mild_psd(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray
     values = np.zeros(dim)
     values[:rank] = rng.uniform(0.8, 1.25, size=rank)
     return (basis * values) @ basis.T
+
+
+def rotating_field(dim: int):
+    """Point-dependent operator field whose eigenbasis and spectrum move with the point.
+
+    Built without BLAS or LAPACK (a cosine basis, Givens turns and a plain
+    einsum), so its matrices have the same bits at every BLAS thread count.
+    Each call returns a new, not yet decomposed operator.
+    """
+    rows, cols = np.arange(dim)[:, None], np.arange(dim)[None, :]
+    base = np.cos(math.pi * (2 * rows + 1) * cols / (2 * dim)) * math.sqrt(2.0 / dim)
+    base[:, 0] /= math.sqrt(2.0)
+    values = np.geomspace(10.0, 0.1, dim)
+
+    def field(point: np.ndarray):
+        basis = base.copy()
+        for i, angle in enumerate(0.5 * np.sin(3.0 * point[:-1] + np.arange(dim - 1))):
+            c, s = math.cos(angle), math.sin(angle)
+            left, right = basis[:, i].copy(), basis[:, i + 1].copy()
+            basis[:, i], basis[:, i + 1] = c * left - s * right, s * left + c * right
+        scaled = values * np.exp(0.3 * np.tanh(point))
+        return ConstraintOperator(np.einsum("ik,k,jk->ij", basis, scaled, basis))
+
+    return field
+
+
+def drifting_objective(dim: int):
+    """Concave payoff peaked far from the origin, with an elementwise (BLAS-free) gradient."""
+    peak = 3.0 * np.linspace(-1.0, 1.0, dim)
+    return Objective(
+        lambda x: -0.5 * float(np.sum((x - peak) ** 2)), lambda x: peak - x, "drifting"
+    )
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from reachopt import (
     Objective,
     budget_from_config,
     constant_field,
+    decompose,
     mask_field,
     objective_from_config,
     optimal_direction,
@@ -24,7 +25,7 @@ from reachopt import (
     spherical_budget,
     write_trace_csv,
 )
-from conftest import random_psd
+from conftest import drifting_objective, random_psd, rotating_field
 
 
 class TestObjectives:
@@ -356,3 +357,66 @@ class TestRunAscent:
         assert first[0] == "0"
         assert float(first[3]) == pytest.approx(record.steps[0].objective_value)
         assert first[6] == "optimal"
+
+
+def _trajectory(record):
+    """Every logged number of a run, for bit-for-bit comparison."""
+    points = np.array([row.point for row in record.steps] + [record.final_point])
+    numbers = [(row.objective_value, row.cost_value or 0.0, row.first_order_gain,
+                row.step_size) for row in record.steps]
+    return record.status, points.tobytes(), np.array(numbers).tobytes()
+
+
+class TestWarmStartedAscent:
+    def test_long_point_dependent_run_matches_cold(self):
+        dim = 8
+        field = rotating_field(dim)
+        operators = []
+
+        def recorded(point):
+            operators.append(field(point))
+            return operators[-1]
+
+        record = run_ascent(drifting_objective(dim), recorded, None, np.zeros(dim), 600, 0.01)
+        assert record.status == "completed"
+        last = operators[-1].spectrum
+        assert np.max(np.abs(last.eigenvectors.T @ last.eigenvectors - np.eye(dim))) <= 1e-12
+        warm_sweeps, cold_sweeps = [], []
+        for operator in operators[1::50] + [operators[-1]]:
+            warm, cold = operator.spectrum, decompose(operator.matrix)
+            top = cold.eigenvalues[0]
+            assert np.max(np.abs(warm.eigenvalues - cold.eigenvalues)) <= 1e-10 * top
+            assert warm.rank == cold.rank
+            vectors = warm.eigenvectors
+            residual = operator.matrix.entries @ vectors - vectors * warm.eigenvalues
+            assert np.max(np.abs(residual)) <= 1e-12 * top
+            warm_sweeps.append(warm.sweeps)
+            cold_sweeps.append(cold.sweeps)
+        assert sum(warm_sweeps) < sum(cold_sweeps)
+
+    @pytest.mark.parametrize(
+        "matrix, make_field",
+        [
+            (np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]]), constant_field),
+            (np.array([1.0, 0.0, 1.0]), mask_field),
+        ],
+        ids=["constant", "mask"],
+    )
+    def test_built_in_fields_keep_the_cold_bits(self, matrix, make_field):
+        cold_operator = ConstraintOperator(np.diag(matrix) if matrix.ndim == 1 else matrix)
+
+        def cold(_point):
+            fresh = ConstraintOperator(cold_operator.matrix)
+            fresh.spectrum  # decomposed cold, before the run sees it
+            return fresh
+
+        objective = quadratic_objective(np.eye(3), [0.5, 0.7, -0.3])
+        budget = spherical_budget(0.5)
+        start = np.array([0.1, 0.2, -0.1])
+        for limit in (None, budget):
+            field = make_field(matrix)
+            spectrum = field(start).spectrum
+            built = run_ascent(objective, field, limit, start, 150, 1e-2)
+            reference = run_ascent(objective, cold, limit, start, 150, 1e-2)
+            assert _trajectory(built) == _trajectory(reference)
+            assert field(start).spectrum is spectrum

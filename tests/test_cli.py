@@ -344,3 +344,35 @@ def test_bad_run_value_fails_naming_file(changes, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"operator_field": {"kind": "mask", "mask": [1, 0, 1]},
+          "objective": {"kind": "quadratic", "matrix": [[1, 0], [0, 1]], "linear": [0.1, 0.2]},
+          "budget": None}, "operator_field"),
+        ({"operator_field": {"kind": "mask", "mask": [1, 0, 1]}, "theta0": [0.0, 0.0, 0.0]},
+         "objective"),
+        ({"objective": {"kind": "rosenbrock"}, "operator_field": {"kind": "mask", "mask": [1]},
+          "theta0": [0.5]}, "objective"),
+        ({"objective": {"kind": "rosenbrock"}, "theta0": [[0.5, 0.5]]}, "theta0"),
+    ],
+    ids=["field", "quadratic", "rosenbrock", "nested-theta0"],
+)
+def test_dimension_mismatch_fails_naming_file_and_key(changes, key, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_run_config(**changes)))
+    assert main(["optimize", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {key}")
+
+
+def test_key_error_inside_a_command_propagates(matrix_file, gradient_file, monkeypatch):
+    def broken(path):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("reachopt.io.load_matrix", broken)
+    with pytest.raises(KeyError):
+        main(["direction", "--operator", matrix_file, "--gradient", gradient_file])

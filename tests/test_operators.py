@@ -4,6 +4,7 @@ import pytest
 from reachopt import (
     ConstraintOperator,
     DimensionMismatchError,
+    NotPositiveSemidefiniteError,
     SymmetricMatrix,
     constant_field,
     diag_decay_field,
@@ -139,3 +140,24 @@ class TestOperatorFields:
     def test_symmetric_matrix_input_accepted(self):
         op = ConstraintOperator(SymmetricMatrix(np.eye(2)))
         assert op.dim == 2
+
+
+class TestLazySpectrum:
+    def test_bare_operator_raises_on_first_use(self):
+        operator = ConstraintOperator(np.diag([1.0, -1.0]))
+        assert operator.dim == 2
+        with pytest.raises(NotPositiveSemidefiniteError):
+            operator.spectrum
+
+    def test_fields_raise_when_built(self):
+        with pytest.raises(NotPositiveSemidefiniteError):
+            constant_field(np.diag([1.0, -1.0]))
+        with pytest.raises(NotPositiveSemidefiniteError):
+            operator_field_from_config(
+                {"kind": "constant", "matrix": {"entries": [[1.0, 0.0], [0.0, -1.0]]}}
+            )
+
+    def test_spectrum_is_computed_once(self, rng):
+        operator = ConstraintOperator(random_psd(rng, 4, 3))
+        assert operator.spectrum is operator.spectrum
+        assert operator.reachable_dim == 3

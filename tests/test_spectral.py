@@ -215,29 +215,69 @@ _HASH_SCRIPT = """
 import hashlib
 
 import numpy as np
-from reachopt import decompose
+from reachopt import decompose, run_ascent
+from conftest import drifting_objective, rotating_field
 
 for dim in (1, 2, 7, 33, 64):
     factor = np.random.default_rng(dim).integers(-3, 4, size=(dim + 1, dim))
     dec = decompose((factor.T @ factor).astype(float))
     digest = hashlib.sha256(dec.eigenvalues.tobytes() + dec.eigenvectors.tobytes())
     print(dim, digest.hexdigest())
+
+# Warm-started Jacobi along point-dependent trajectories, each run twice.
+for dim, steps in ((8, 40), (33, 6)):
+    for attempt in range(2):
+        record = run_ascent(drifting_objective(dim), rotating_field(dim), None,
+                            np.zeros(dim), steps, 0.01)
+        points = np.array([row.point for row in record.steps] + [record.final_point])
+        gains = np.array([row.first_order_gain for row in record.steps])
+        digest = hashlib.sha256(points.tobytes() + gains.tobytes())
+        print("run", dim, len(record.steps), digest.hexdigest())
 """
 
 
 def test_bits_identical_across_blas_threads():
     # Integer B^T B is exact without BLAS, so only the solver could differ.
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # The trajectories' fields and payoffs are BLAS-free too.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join((str(tests.parent / "src"), str(tests)))
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         result = subprocess.run(
             [sys.executable, "-c", _HASH_SCRIPT],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         outputs.append(result.stdout)
-    assert len(outputs[0].splitlines()) == 5
+    lines = outputs[0].splitlines()
+    assert len(lines) == 9
+    assert lines[5] == lines[6] == "run 8 40 " + lines[5].split()[-1]
+    assert lines[7] == lines[8] == "run 33 6 " + lines[7].split()[-1]
     assert outputs[0] == outputs[1]
+
+
+class TestWarmStart:
+    """Jacobi started from a nearby eigenbasis, against the cold solver."""
+
+    @pytest.mark.parametrize("dim", [8, 12, 33])
+    def test_graded_matrices_match_cold(self, dim):
+        # D C D with D from 1 down to 1e-6: eigenvalues span about 13 decades.
+        rng = np.random.default_rng(dim)
+        grading = np.geomspace(1.0, 1e-6, dim)
+        matrix = grading[:, None] * random_psd(rng, dim, dim) * grading
+        start = decompose(matrix).eigenvectors
+        skew = 1e-3 * rng.standard_normal((dim, dim))
+        skew -= skew.T
+        turn = np.linalg.solve(np.eye(dim) - skew, np.eye(dim) + skew)  # Cayley: orthogonal
+        turned = SymmetricMatrix(turn @ matrix @ turn.T)
+        cold = decompose(turned)
+        warm = spectral._decompose(turned, start=start)
+        assert np.max(np.abs(warm.eigenvalues - cold.eigenvalues)) <= 1e-10 * cold.eigenvalues[0]
+        assert warm.rank == cold.rank
+        vectors = warm.eigenvectors
+        residual = turned.entries @ vectors - vectors * warm.eigenvalues
+        assert np.max(np.abs(residual)) <= 1e-12 * cold.eigenvalues[0]
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(dim))) <= 1e-13
 
 
 class TestPseudoinverse:

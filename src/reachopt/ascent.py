@@ -21,7 +21,7 @@ import numpy as np
 
 from .directions import DirectionKind, optimal_direction
 from .errors import InfeasibleStartError
-from .operators import OperatorField
+from .operators import OperatorField, _warm_starts
 from .spectral import SymmetricMatrix
 
 #: The budget counts as active when kappa - C(point) drops below this.
@@ -161,13 +161,13 @@ def run_ascent(
     evaluated once per point: an accepted candidate's values are logged at
     the next step.
 
-    An operator from the field that is not yet decomposed, and has the
-    previous step's dimension, is decomposed with Jacobi started from the
-    previous step's eigenvectors: along a point-dependent field the basis
-    turns little per step, so fewer sweeps are needed. Its bits then depend
-    on the trajectory so far, and repeat runs still match. Operators of the
-    built-in fields are decomposed when the field is made, so their runs
-    keep the cold bits.
+    An operator built during the run, with the previous step's dimension,
+    is decomposed with Jacobi started from the previous step's
+    eigenvectors, which need fewer sweeps when the basis turns little per
+    step. Its bits then depend on the trajectory so far; repeat runs still
+    match. Operators built beforehand, like those of the built-in fields,
+    keep their cold bits; a field that caches operators it builds during a
+    run carries that run's bits into later runs.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -191,51 +191,51 @@ def run_ascent(
 
     rows: list[TrajectoryStep] = []
     status = "completed"
-    spectrum = None
-    for index in range(steps):
-        grad = np.asarray(objective.gradient(theta), dtype=float)
-        active = budget is not None and _is_active(budget, cost_value)
-        normal = np.asarray(budget.cost_gradient(theta), dtype=float) if active else None
-        if not np.all(np.isfinite(grad)) or (active and not np.all(np.isfinite(normal))):
-            status = "non-finite"
-            break
-        operator = operator_field(theta)
-        spectrum = operator._spectrum_near(spectrum)
-        result = optimal_direction(operator, grad, normal)
+    with _warm_starts() as near:
+        for index in range(steps):
+            grad = np.asarray(objective.gradient(theta), dtype=float)
+            active = budget is not None and _is_active(budget, cost_value)
+            normal = np.asarray(budget.cost_gradient(theta), dtype=float) if active else None
+            if not np.all(np.isfinite(grad)) or (active and not np.all(np.isfinite(normal))):
+                status = "non-finite"
+                break
+            operator = operator_field(theta)
+            near[0] = operator.spectrum.eigenvectors
+            result = optimal_direction(operator, grad, normal)
 
-        step_size, next_theta, next_cost = 0.0, None, None
-        if result.kind is DirectionKind.DEGENERATE:
-            status = "degenerate"
-        elif budget is None:
-            step_size, next_theta = eta, theta + eta * result.direction
-        else:
-            trial = eta
-            for _ in range(BACKTRACK_LIMIT + 1):
-                candidate = theta + trial * result.direction
-                candidate_cost = float(budget.cost(candidate))
-                if not math.isfinite(candidate_cost):
-                    status = "non-finite"
-                    break
-                if candidate_cost <= budget.kappa + BUDGET_SLACK:
-                    step_size, next_theta, next_cost = trial, candidate, candidate_cost
-                    break
-                trial *= 0.5
+            step_size, next_theta, next_cost = 0.0, None, None
+            if result.kind is DirectionKind.DEGENERATE:
+                status = "degenerate"
+            elif budget is None:
+                step_size, next_theta = eta, theta + eta * result.direction
             else:
-                status = "budget-stall"
-        if next_theta is not None:
-            next_value = float(objective.evaluate(next_theta))
-            if not math.isfinite(next_value):
-                status, step_size, next_theta = "non-finite", 0.0, None
+                trial = eta
+                for _ in range(BACKTRACK_LIMIT + 1):
+                    candidate = theta + trial * result.direction
+                    candidate_cost = float(budget.cost(candidate))
+                    if not math.isfinite(candidate_cost):
+                        status = "non-finite"
+                        break
+                    if candidate_cost <= budget.kappa + BUDGET_SLACK:
+                        step_size, next_theta, next_cost = trial, candidate, candidate_cost
+                        break
+                    trial *= 0.5
+                else:
+                    status = "budget-stall"
+            if next_theta is not None:
+                next_value = float(objective.evaluate(next_theta))
+                if not math.isfinite(next_value):
+                    status, step_size, next_theta = "non-finite", 0.0, None
 
-        rows.append(
-            TrajectoryStep(
-                index, theta.copy(), value,
-                cost_value, result.kind, result.first_order_gain, step_size, active,
+            rows.append(
+                TrajectoryStep(
+                    index, theta.copy(), value,
+                    cost_value, result.kind, result.first_order_gain, step_size, active,
+                )
             )
-        )
-        if next_theta is None:
-            break
-        theta, value, cost_value = next_theta, next_value, next_cost
+            if next_theta is None:
+                break
+            theta, value, cost_value = next_theta, next_value, next_cost
 
     return TrajectoryRecord(
         steps=rows,

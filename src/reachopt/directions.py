@@ -90,8 +90,7 @@ def optimal_direction(
     degeneracy rule has no reachable component and leaves the free direction.
     """
     grad = _as_vector(gradient, operator.dim, "gradient")
-    spectrum = operator.spectrum
-    rank, top = spectrum.rank, float(spectrum.eigenvalues[0])
+    spectrum, rank, top = operator.spectrum, operator.reachable_dim, operator.operator_norm
     values, basis = spectrum.eigenvalues[:rank], spectrum.eigenvectors[:, :rank]
     coeffs, exponent, level = _scaled_coefficients(basis, top, grad)
     if normal is not None:

@@ -1,48 +1,52 @@
 """Constraint operators: reachable-subspace geometry and the quadratic effort form.
 
 A :class:`ConstraintOperator` wraps a PSD symmetric matrix together with its
-spectral decomposition, computed on first use; the first consumer decides
-how. Its image is the subspace of directions that are reachable at all, and
-the quadratic form prices how costly each reachable direction is. Operator
-fields map points to operators; the built-in fields are constant in the
-point and decompose their operator when they are created, but any pure
-callable works.
+cached spectral decomposition. Its image is the subspace of directions that
+are reachable at all, and the quadratic form prices how costly each reachable
+direction is. Operator fields map points to operators; the built-in fields
+are constant in the point, but any pure callable works.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .spectral import (
-    SpectralDecomposition,
-    SymmetricMatrix,
-    _as_vector,
-    _decompose,
-    decompose,
-)
+from .spectral import SpectralDecomposition, SymmetricMatrix, _as_vector, decompose
 
 OperatorField = Callable[[np.ndarray], "ConstraintOperator"]
+
+#: ``near``: inside ``_warm_starts``, a one-slot list with the eigenvectors
+#: that new operators start Jacobi from (``None`` for a cold start). Not a
+#: context variable: while one is set, numpy looks up its error state more
+#: slowly, which cost about 1 us per constant-field ascent step.
+_local = threading.local()
 
 
 class ConstraintOperator:
     """PSD operator whose image is the reachable subspace.
 
-    The matrix is fixed at construction. The spectral decomposition is
-    computed on first use and then shared by every downstream consumer; the
-    first consumer decides how. ``.spectrum`` runs a cold ``decompose``;
-    ``run_ascent`` starts Jacobi from the previous step's eigenvectors. A
-    matrix that is not PSD raises ``NotPositiveSemidefiniteError`` at that
-    first use.
+    Immutable after construction; the spectral decomposition is computed once,
+    when the operator is built, and shared by every downstream consumer. A
+    matrix that is not PSD raises ``NotPositiveSemidefiniteError`` here. An
+    operator built while ``run_ascent`` runs, with the previous step's
+    dimension, is decomposed with Jacobi started from that step's
+    eigenvectors; any other is decomposed cold.
     """
 
     __slots__ = ("_matrix", "_spectrum")
 
     def __init__(self, matrix) -> None:
         sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
+        near = getattr(_local, "near", None)
+        start = None if near is None else near[0]
+        if start is not None and start.shape[0] != sym.dim:
+            start = None
         self._matrix = sym
-        self._spectrum: SpectralDecomposition | None = None
+        self._spectrum = decompose(sym, start=start)
 
     @property
     def matrix(self) -> SymmetricMatrix:
@@ -50,16 +54,7 @@ class ConstraintOperator:
 
     @property
     def spectrum(self) -> SpectralDecomposition:
-        if self._spectrum is None:
-            self._spectrum = decompose(self._matrix)
         return self._spectrum
-
-    def _spectrum_near(self, previous: SpectralDecomposition | None) -> SpectralDecomposition:
-        """The spectrum; computed here, Jacobi starts from ``previous``'s
-        eigenvectors when they have this dimension."""
-        if self._spectrum is None and previous is not None and previous.dim == self.dim:
-            self._spectrum = _decompose(self._matrix, start=previous.eigenvectors)
-        return self.spectrum
 
     @property
     def dim(self) -> int:
@@ -67,19 +62,19 @@ class ConstraintOperator:
 
     @property
     def reachable_dim(self) -> int:
-        return self.spectrum.rank
+        return self._spectrum.rank
 
     @property
     def operator_norm(self) -> float:
         """Largest eigenvalue (zero for the zero operator)."""
-        return float(self.spectrum.eigenvalues[0])
+        return float(self._spectrum.eigenvalues[0])
 
     @property
     def pseudoinverse(self) -> SymmetricMatrix:
-        return self.spectrum.pseudoinverse()
+        return self._spectrum.pseudoinverse()
 
     def project_onto_image(self, vector) -> np.ndarray:
-        return self.spectrum.project_onto_image(vector)
+        return self._spectrum.project_onto_image(vector)
 
     def effort(self, direction) -> float:
         """Quadratic form of the operator: the squared cost of a variation.
@@ -107,14 +102,20 @@ class ConstraintOperator:
         )
 
 
-def constant_field(matrix) -> OperatorField:
-    """Operator field that returns the same operator at every point.
+@contextmanager
+def _warm_starts() -> Iterator[list]:
+    """Operators built in the block start Jacobi from the eigenvectors put in the yielded slot."""
+    previous = getattr(_local, "near", None)
+    _local.near = near = [None]
+    try:
+        yield near
+    finally:
+        _local.near = previous
 
-    The operator is decomposed here, cold: a matrix that is not PSD raises at
-    once, and every run of the field shares the same spectrum.
-    """
+
+def constant_field(matrix) -> OperatorField:
+    """Operator field that returns the same operator at every point."""
     operator = ConstraintOperator(matrix)
-    operator.spectrum  # decompose now, not at the first point
 
     def field(_point: np.ndarray) -> ConstraintOperator:
         return operator

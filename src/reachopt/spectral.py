@@ -4,11 +4,10 @@ Everything in this module is deterministic: the eigensolver performs
 round-robin Jacobi sweeps in a fixed order using elementwise arithmetic only,
 eigenvalues are ordered descending with a stable sort, and each eigenvector's
 first nonzero component is flipped to be positive. Decompositions of the same
-matrix are therefore bit-identical across runs and BLAS thread counts.
-``run_ascent`` starts Jacobi from the previous step's eigenvectors when a
-point-dependent field hands it an operator not yet decomposed, so those bits
-also depend on the trajectory so far; repeat runs still match, at every BLAS
-thread count.
+matrix from the same ``start`` are therefore bit-identical across runs and
+BLAS thread counts. ``run_ascent`` starts the operators built during the run
+from the previous step's eigenvectors, so along a point-dependent field the
+bits also depend on the trajectory so far; repeat runs still match.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ DEFAULT_MAX_SWEEPS = 100
 
 _SIGN_TOLERANCE = 1e-12
 _CONVERGENCE_FACTOR = 1e-14
+_START_ORTHONORMALITY = 1e-8
 
 
 def _as_square_array(entries) -> np.ndarray:
@@ -182,6 +182,23 @@ def _round_robin_destinations(m: int) -> np.ndarray:
     return destination.reshape(-1, 2).T
 
 
+def _orthonormal_start(start, dim: int) -> np.ndarray:
+    """``start`` checked as a ``dim`` x ``dim`` orthogonal matrix and refined.
+
+    One Newton-Schulz step, ``V (3I - V^T V) / 2``, takes an orthonormality
+    error ``e`` to about ``e**2``; einsum without optimize= calls no BLAS.
+    """
+    vectors = _as_square_array(start)
+    if vectors.shape[0] != dim:
+        raise DimensionMismatchError(
+            f"start of shape {vectors.shape} does not match dimension {dim}"
+        )
+    error = np.einsum("ki,kj->ij", vectors, vectors) - np.eye(dim)
+    if not np.max(np.abs(error)) <= _START_ORTHONORMALITY:
+        raise ValueError(f"start columns must be orthonormal within {_START_ORTHONORMALITY}")
+    return vectors - 0.5 * np.einsum("ik,kj->ij", vectors, error)
+
+
 def _jacobi_eigensystem(
     matrix: np.ndarray, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -251,7 +268,9 @@ def _canonicalize_signs(vectors: np.ndarray) -> None:
     vectors[:, flip] = -vectors[:, flip]
 
 
-def decompose(matrix, rank_tolerance: float | None = None) -> SpectralDecomposition:
+def decompose(
+    matrix, rank_tolerance: float | None = None, *, start=None
+) -> SpectralDecomposition:
     """Eigendecompose a symmetric PSD matrix with round-robin Jacobi rotations.
 
     Each sweep runs m - 1 rounds, m being the dimension rounded up to even;
@@ -265,6 +284,14 @@ def decompose(matrix, rank_tolerance: float | None = None) -> SpectralDecomposit
         Eigenvalues strictly above this count toward the rank. Defaults to
         ``1e-10`` times the largest eigenvalue, which behaves consistently
         across matrix scales. A negative or NaN value raises ``ValueError``.
+    start : array_like, optional
+        Orthogonal matrix whose columns approximate the eigenvectors, such as
+        those of a nearby matrix. Jacobi starts from ``start.T @ A @ start``;
+        when that is nearly diagonal, quadratic convergence needs fewer
+        sweeps, at the cost of about ``|A| * eps`` absolute error from the
+        basis change. Columns that are not orthonormal to within ``1e-8``
+        raise ``ValueError``; the rest are refined to orthonormal first, so
+        chaining starts along a path does not build up error.
 
     Raises
     ------
@@ -278,18 +305,9 @@ def decompose(matrix, rank_tolerance: float | None = None) -> SpectralDecomposit
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
     if rank_tolerance is not None and not rank_tolerance >= 0.0:
         raise ValueError(f"rank_tolerance must be nonnegative, got {rank_tolerance!r}")
-    return _decompose(sym, rank_tolerance)
+    if start is not None:
+        start = _orthonormal_start(start, sym.dim)
 
-
-def _decompose(
-    sym: SymmetricMatrix, rank_tolerance: float | None = None, start: np.ndarray | None = None
-) -> SpectralDecomposition:
-    """``decompose`` on a validated matrix, Jacobi started from the orthogonal ``start``.
-
-    A ``start`` close to the eigenvectors leaves the rotated matrix nearly
-    diagonal, so Jacobi's quadratic convergence needs fewer sweeps, at the
-    cost of about ``|A| * eps`` absolute error from the basis change.
-    """
     values, vectors, sweeps, off = _jacobi_eigensystem(sym.entries, start)
 
     order = np.argsort(-values, kind="stable")

@@ -1,5 +1,6 @@
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -380,7 +381,7 @@ class TestWarmStartedAscent:
         record = run_ascent(drifting_objective(dim), recorded, None, np.zeros(dim), 600, 0.01)
         assert record.status == "completed"
         last = operators[-1].spectrum
-        assert np.max(np.abs(last.eigenvectors.T @ last.eigenvectors - np.eye(dim))) <= 1e-12
+        assert np.max(np.abs(last.eigenvectors.T @ last.eigenvectors - np.eye(dim))) <= 1e-14
         warm_sweeps, cold_sweeps = [], []
         for operator in operators[1::50] + [operators[-1]]:
             warm, cold = operator.spectrum, decompose(operator.matrix)
@@ -393,6 +394,43 @@ class TestWarmStartedAscent:
             warm_sweeps.append(warm.sweeps)
             cold_sweeps.append(cold.sweeps)
         assert sum(warm_sweeps) < sum(cold_sweeps)
+        # Outside the run, operators are built cold again.
+        after = ConstraintOperator(operators[-1].matrix).spectrum
+        assert after.eigenvectors.tobytes() == decompose(operators[-1].matrix).eigenvectors.tobytes()
+
+    def test_other_threads_build_cold(self):
+        dim = 8
+        field = rotating_field(dim)
+        built = []
+
+        def threaded(point):
+            operator = field(point)
+            worker = threading.Thread(target=lambda: built.append(field(point)))
+            worker.start()
+            worker.join()
+            return operator
+
+        run_ascent(drifting_objective(dim), threaded, None, np.zeros(dim), 5, 0.01)
+        for operator in built:
+            cold = decompose(operator.matrix)
+            assert operator.spectrum.eigenvectors.tobytes() == cold.eigenvectors.tobytes()
+
+    def test_warm_start_ends_when_the_field_raises(self):
+        dim = 8
+        field = rotating_field(dim)
+        built = []
+
+        def failing(point):
+            built.append(field(point))
+            if len(built) == 3:
+                raise RuntimeError("field failed")
+            return built[-1]
+
+        with pytest.raises(RuntimeError, match="field failed"):
+            run_ascent(drifting_objective(dim), failing, None, np.zeros(dim), 10, 0.01)
+        assert built[1].spectrum.sweeps < decompose(built[1].matrix).sweeps
+        after = ConstraintOperator(built[-1].matrix).spectrum
+        assert after.eigenvectors.tobytes() == decompose(built[-1].matrix).eigenvectors.tobytes()
 
     @pytest.mark.parametrize(
         "matrix, make_field",
@@ -404,19 +442,14 @@ class TestWarmStartedAscent:
     )
     def test_built_in_fields_keep_the_cold_bits(self, matrix, make_field):
         cold_operator = ConstraintOperator(np.diag(matrix) if matrix.ndim == 1 else matrix)
-
-        def cold(_point):
-            fresh = ConstraintOperator(cold_operator.matrix)
-            fresh.spectrum  # decomposed cold, before the run sees it
-            return fresh
-
         objective = quadratic_objective(np.eye(3), [0.5, 0.7, -0.3])
         budget = spherical_budget(0.5)
         start = np.array([0.1, 0.2, -0.1])
         for limit in (None, budget):
             field = make_field(matrix)
             spectrum = field(start).spectrum
+            assert spectrum.eigenvectors.tobytes() == cold_operator.spectrum.eigenvectors.tobytes()
             built = run_ascent(objective, field, limit, start, 150, 1e-2)
-            reference = run_ascent(objective, cold, limit, start, 150, 1e-2)
+            reference = run_ascent(objective, lambda _p: cold_operator, limit, start, 150, 1e-2)
             assert _trajectory(built) == _trajectory(reference)
             assert field(start).spectrum is spectrum

@@ -7,6 +7,7 @@ from reachopt import (
     NotPositiveSemidefiniteError,
     SymmetricMatrix,
     constant_field,
+    decompose,
     diag_decay_field,
     mask_field,
     operator_field_from_config,
@@ -142,12 +143,10 @@ class TestOperatorFields:
         assert op.dim == 2
 
 
-class TestLazySpectrum:
-    def test_bare_operator_raises_on_first_use(self):
-        operator = ConstraintOperator(np.diag([1.0, -1.0]))
-        assert operator.dim == 2
+class TestSpectrumAtConstruction:
+    def test_bare_operator_raises_when_built(self):
         with pytest.raises(NotPositiveSemidefiniteError):
-            operator.spectrum
+            ConstraintOperator(np.diag([1.0, -1.0]))
 
     def test_fields_raise_when_built(self):
         with pytest.raises(NotPositiveSemidefiniteError):
@@ -157,7 +156,11 @@ class TestLazySpectrum:
                 {"kind": "constant", "matrix": {"entries": [[1.0, 0.0], [0.0, -1.0]]}}
             )
 
-    def test_spectrum_is_computed_once(self, rng):
-        operator = ConstraintOperator(random_psd(rng, 4, 3))
+    def test_spectrum_is_computed_once_and_cold(self, rng):
+        matrix = random_psd(rng, 4, 3)
+        operator = ConstraintOperator(matrix)
         assert operator.spectrum is operator.spectrum
         assert operator.reachable_dim == 3
+        cold = decompose(matrix)
+        assert operator.spectrum.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+        assert operator.spectrum.eigenvectors.tobytes() == cold.eigenvectors.tobytes()

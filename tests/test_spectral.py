@@ -271,13 +271,31 @@ class TestWarmStart:
         turn = np.linalg.solve(np.eye(dim) - skew, np.eye(dim) + skew)  # Cayley: orthogonal
         turned = SymmetricMatrix(turn @ matrix @ turn.T)
         cold = decompose(turned)
-        warm = spectral._decompose(turned, start=start)
+        warm = decompose(turned, start=start)
         assert np.max(np.abs(warm.eigenvalues - cold.eigenvalues)) <= 1e-10 * cold.eigenvalues[0]
         assert warm.rank == cold.rank
         vectors = warm.eigenvectors
         residual = turned.entries @ vectors - vectors * warm.eigenvalues
         assert np.max(np.abs(residual)) <= 1e-12 * cold.eigenvalues[0]
         assert np.max(np.abs(vectors.T @ vectors - np.eye(dim))) <= 1e-13
+
+    def test_start_is_checked(self):
+        matrix = np.diag([3.0, 2.0, 1.0])
+        with pytest.raises(DimensionMismatchError):
+            decompose(matrix, start=np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            decompose(matrix, start=np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="orthonormal"):
+            decompose(matrix, start=np.eye(3) * (1.0 + 1e-7))
+
+    def test_slightly_skewed_start_is_refined(self):
+        rng = np.random.default_rng(5)
+        matrix = random_psd(rng, 6, 6)
+        start = decompose(matrix).eigenvectors * (1.0 + 2e-9)
+        warm = decompose(matrix, start=start)
+        vectors = warm.eigenvectors
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(6))) <= 1e-14
+        assert np.max(np.abs(warm.eigenvalues - decompose(matrix).eigenvalues)) <= 1e-13
 
 
 class TestPseudoinverse:

@@ -32,14 +32,12 @@ from .cones import (
 from .directions import (
     DirectionKind,
     DirectionResult,
-    first_order_gain,
     optimal_direction,
     sample_unit_effort,
 )
 from .errors import (
     DegenerateDirectionError,
     DimensionMismatchError,
-    InadmissibleDirectionError,
     InfeasibleAtMaxError,
     InfeasibleStartError,
     JacobiConvergenceError,
@@ -69,7 +67,6 @@ __all__ = [
     "DirectionKind",
     "DirectionResult",
     "FeasibilityResult",
-    "InadmissibleDirectionError",
     "InfeasibleAtMaxError",
     "InfeasibleStartError",
     "JacobiConvergenceError",
@@ -89,7 +86,6 @@ __all__ = [
     "decompose",
     "diag_decay_field",
     "find_gamma_star",
-    "first_order_gain",
     "is_feasible",
     "mask_field",
     "objective_from_config",

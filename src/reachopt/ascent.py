@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .directions import DirectionKind, optimal_direction
-from .errors import InfeasibleStartError
+from .errors import DimensionMismatchError, InfeasibleStartError
 from .operators import OperatorField, _warm_starts
 from .spectral import SymmetricMatrix
 
@@ -93,18 +93,24 @@ class BudgetConstraint:
 
 
 def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
-    """Squared-distance cost ``|x - center|^2`` under the cap ``kappa``."""
+    """Squared-distance cost ``|x - center|^2`` under the cap ``kappa``.
+
+    A point of another shape than ``center`` raises ``DimensionMismatchError``.
+    """
     center_arr = None if center is None else np.asarray(center, dtype=float)
 
-    def cost(point: np.ndarray) -> float:
+    def shift(point: np.ndarray) -> np.ndarray:
         x = np.asarray(point, dtype=float)
-        shifted = x if center_arr is None else x - center_arr
+        if center_arr is not None and x.shape != center_arr.shape:
+            raise DimensionMismatchError(f"point shape {x.shape} != center {center_arr.shape}")
+        return x if center_arr is None else x - center_arr
+
+    def cost(point: np.ndarray) -> float:
+        shifted = shift(point)
         return float(shifted @ shifted)
 
     def cost_gradient(point: np.ndarray) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        shifted = x if center_arr is None else x - center_arr
-        return 2.0 * shifted
+        return 2.0 * shift(point)
 
     return BudgetConstraint(cost, cost_gradient, float(kappa))
 

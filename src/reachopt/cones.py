@@ -110,10 +110,6 @@ class CouplingFamily:
     def dim(self) -> int:
         return self.base_cones[0].dim
 
-    @property
-    def size(self) -> int:
-        return len(self.base_cones)
-
     def axes_matrix(self) -> np.ndarray:
         return np.stack([cone.axis for cone in self.base_cones])
 

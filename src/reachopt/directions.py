@@ -7,6 +7,8 @@ the coefficients c = U_r'g of the gradient on the retained modes; a cost
 halfspace n.d <= 0 only shifts them to c - mu U_r'n. One relative test
 decides degeneracy: when the operator annihilates the ascent vector on those
 modes, no admissible direction has positive first-order payoff.
+The gain is reported on the ``DirectionResult``. A candidate d is admissible
+when ``operator.project_onto_image(d)`` returns d and ``operator.effort(d)`` is 1.
 """
 
 from __future__ import annotations
@@ -17,15 +19,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, InadmissibleDirectionError
+from .errors import DegenerateDirectionError
 from .operators import ConstraintOperator
 from .spectral import _as_vector
 
 #: The one degeneracy rule: the operator-gradient product over the retained
 #: modes must exceed this level relative to the largest eigenvalue times |g|.
 DEGENERACY_FACTOR = 1e-12
-
-_GAIN_ADMISSIBILITY_TOL = 1e-6
 
 
 class DirectionKind(str, Enum):
@@ -114,22 +114,6 @@ def optimal_direction(
     direction.setflags(write=False)
     gain = float(grad @ direction)
     return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm)
-
-
-def first_order_gain(operator: ConstraintOperator, gradient, direction) -> float:
-    """Payoff slope along an admissible direction.
-
-    Raises
-    ------
-    InadmissibleDirectionError
-        If the direction is not reachable with unit effort within 1e-6.
-    """
-    grad = _as_vector(gradient, operator.dim, "gradient")
-    if not operator.is_admissible(direction, tol=_GAIN_ADMISSIBILITY_TOL):
-        raise InadmissibleDirectionError(
-            "direction is not a reachable unit-effort variation"
-        )
-    return float(grad @ np.asarray(direction, dtype=float))
 
 
 def sample_unit_effort(operator: ConstraintOperator, count: int, rng=None) -> np.ndarray:

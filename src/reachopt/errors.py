@@ -31,10 +31,6 @@ class DegenerateDirectionError(ReachoptError, ValueError):
     """The direction has vanishing effort, so no unit-effort representative exists."""
 
 
-class InadmissibleDirectionError(ReachoptError, ValueError):
-    """The direction fails the reachability or unit-effort admissibility test."""
-
-
 class InfeasibleAtMaxError(ReachoptError, RuntimeError):
     """Even fully enlarged cones share no common direction.
 

@@ -76,8 +76,8 @@ def _cone(axis, half_angle_deg) -> CircularCone:
 def _run(objective, operator_field, theta0, steps, eta, budget=None, out=None) -> dict:
     """The top level of an ``optimize`` configuration.
 
-    The objective's gradient and the operator field's ``dim`` at ``theta0``
-    must match its length; a mismatch raises ``ValueError`` naming the key.
+    The objective's and budget's gradients and the operator field's ``dim`` at
+    ``theta0`` must match its length; a mismatch raises ``ValueError`` naming the key.
     """
     if not float(steps).is_integer():
         raise ValueError(f"steps must be an integer, got {steps!r}")
@@ -93,12 +93,16 @@ def _run(objective, operator_field, theta0, steps, eta, budget=None, out=None) -
     theta = run["theta0"]
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("theta0 must be a flat array of finite numbers")
-    try:
-        gradient_shape = np.shape(run["objective"].gradient(theta))
-    except (IndexError, ValueError) as exc:  # a built-in payoff of another dimension
-        raise ValueError(f"objective at theta0: {exc}") from None
-    field_shape = (run["operator_field"](theta).dim,)
-    for key, shape in (("objective", gradient_shape), ("operator_field", field_shape)):
+    budget = run["budget"]
+    for key, shape_at in (
+        ("objective", lambda: np.shape(run["objective"].gradient(theta))),
+        ("operator_field", lambda: (run["operator_field"](theta).dim,)),
+        ("budget", lambda: np.shape(budget.cost_gradient(theta)) if budget else theta.shape),
+    ):
+        try:
+            shape = shape_at()
+        except (IndexError, ValueError) as exc:  # a built-in of another dimension
+            raise ValueError(f"{key} at theta0: {exc}") from None
         if shape != theta.shape:
             raise ValueError(f"{key} at theta0 has shape {shape}, theta0 has {theta.shape}")
     return run

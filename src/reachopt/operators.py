@@ -69,10 +69,6 @@ class ConstraintOperator:
         """Largest eigenvalue (zero for the zero operator)."""
         return float(self._spectrum.eigenvalues[0])
 
-    @property
-    def pseudoinverse(self) -> SymmetricMatrix:
-        return self._spectrum.pseudoinverse()
-
     def project_onto_image(self, vector) -> np.ndarray:
         return self._spectrum.project_onto_image(vector)
 
@@ -84,17 +80,6 @@ class ConstraintOperator:
         """
         vec = _as_vector(direction, self.dim, "direction")
         return max(float(vec @ self._matrix.entries @ vec), 0.0)
-
-    def is_admissible(self, direction, tol: float = 1e-8) -> bool:
-        """True iff the direction is reachable and has unit effort, within tol."""
-        vec = _as_vector(direction, self.dim, "direction")
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ValueError("the zero vector is never admissible")
-        off_image = float(np.linalg.norm(vec - self.project_onto_image(vec)))
-        if off_image > tol * norm:
-            return False
-        return abs(self.effort(vec) - 1.0) <= tol
 
     def __repr__(self) -> str:
         return (

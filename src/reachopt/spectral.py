@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +23,11 @@ from .errors import (
     NotPositiveSemidefiniteError,
 )
 
-#: Eigenvalues below this are rejected as genuinely negative; values in
-#: [PSD_EIGENVALUE_FLOOR, 0) are treated as rounding noise and clamped to 0.
+#: Eigenvalues below this times the largest are rejected as genuinely negative;
+#: values from there up to 0 are treated as rounding noise and clamped to 0.
 PSD_EIGENVALUE_FLOOR = -1e-10
 
-#: Default rank cut, relative to the largest eigenvalue.
+#: The rank cut: eigenvalues strictly above this times the largest count.
 RELATIVE_RANK_TOLERANCE = 1e-10
 
 #: Jacobi sweeps allowed before ``decompose`` raises ``JacobiConvergenceError``.
@@ -102,9 +101,8 @@ class SpectralDecomposition:
     eigenvectors : ndarray
         Orthonormal eigenvector columns in the same order.
     rank : int
-        Number of eigenvalues strictly above ``rank_tolerance``.
-    rank_tolerance : float
-        The resolved cut used to count the rank.
+        Number of eigenvalues strictly above ``RELATIVE_RANK_TOLERANCE``
+        times the largest one.
     sweeps : int
         Jacobi sweeps run; 0 for a diagonal input.
     off_diagonal_norm : float
@@ -114,7 +112,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank: int
-    rank_tolerance: float
     sweeps: int
     off_diagonal_norm: float
 
@@ -122,17 +119,13 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @cached_property
-    def _pseudoinverse(self) -> SymmetricMatrix:
-        return SymmetricMatrix(reciprocal_outer_sum(self, 0, self.rank))
-
     def pseudoinverse(self) -> SymmetricMatrix:
         """Moore-Penrose pseudoinverse built on the positive spectrum.
 
         Each retained mode contributes its reciprocal eigenvalue; the kernel
         contributes nothing, so a rank-0 decomposition yields the zero matrix.
         """
-        return self._pseudoinverse
+        return SymmetricMatrix(reciprocal_outer_sum(self, 0, self.rank))
 
     def project_onto_image(self, vector) -> np.ndarray:
         """Orthogonal projection onto the span of the retained eigenvectors."""
@@ -219,7 +212,7 @@ def _jacobi_eigensystem(
         state[:n, :n] = (rotated + rotated.T) / 2.0
         state[:n, m:] = start.T
     scale = float(np.sqrt(np.sum(matrix * matrix)))
-    target = _CONVERGENCE_FACTOR * max(1.0, scale)
+    target = _CONVERGENCE_FACTOR * scale
     # Elements this small cannot keep the off-diagonal norm above target.
     skip = target / max(n * n, 1)
     first = np.arange(0, m, 2)
@@ -268,22 +261,17 @@ def _canonicalize_signs(vectors: np.ndarray) -> None:
     vectors[:, flip] = -vectors[:, flip]
 
 
-def decompose(
-    matrix, rank_tolerance: float | None = None, *, start=None
-) -> SpectralDecomposition:
+def decompose(matrix, *, start=None) -> SpectralDecomposition:
     """Eigendecompose a symmetric PSD matrix with round-robin Jacobi rotations.
 
     Each sweep runs m - 1 rounds, m being the dimension rounded up to even;
-    a round applies m/2 disjoint rotations at once.
+    a round applies m/2 disjoint rotations at once. Every tolerance is
+    relative: scaling by a power of two scales only the eigenvalues, exactly.
 
     Parameters
     ----------
     matrix : SymmetricMatrix or array_like
         Square symmetric input; raw arrays are symmetrized first.
-    rank_tolerance : float, optional
-        Eigenvalues strictly above this count toward the rank. Defaults to
-        ``1e-10`` times the largest eigenvalue, which behaves consistently
-        across matrix scales. A negative or NaN value raises ``ValueError``.
     start : array_like, optional
         Orthogonal matrix whose columns approximate the eigenvectors, such as
         those of a nearby matrix. Jacobi starts from ``start.T @ A @ start``;
@@ -296,15 +284,13 @@ def decompose(
     Raises
     ------
     NotPositiveSemidefiniteError
-        If an eigenvalue falls below ``-1e-10``. Values in ``[-1e-10, 0)``
-        are clamped to zero as rounding noise.
+        If an eigenvalue falls below ``-1e-10`` times the largest. Negative
+        values above that are clamped to zero as rounding noise.
     JacobiConvergenceError
         If the off-diagonal norm has not reached the convergence target
         within ``DEFAULT_MAX_SWEEPS`` full sweeps.
     """
     sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
-    if rank_tolerance is not None and not rank_tolerance >= 0.0:
-        raise ValueError(f"rank_tolerance must be nonnegative, got {rank_tolerance!r}")
     if start is not None:
         start = _orthonormal_start(start, sym.dim)
 
@@ -314,19 +300,15 @@ def decompose(
     values = values[order]
     vectors = vectors[:, order]
 
-    smallest = float(values[-1])
-    if smallest < PSD_EIGENVALUE_FLOOR:
+    top, smallest = float(values[0]), float(values[-1])
+    if smallest < PSD_EIGENVALUE_FLOOR * top:
         raise NotPositiveSemidefiniteError(
-            f"eigenvalue {smallest:.6e} is below the PSD tolerance {PSD_EIGENVALUE_FLOOR}"
+            f"eigenvalue {smallest:.6e} is below {PSD_EIGENVALUE_FLOOR} * largest {top:.6e}"
         )
     values[values < 0.0] = 0.0
     _canonicalize_signs(vectors)
 
-    if rank_tolerance is None:
-        resolved_tol = RELATIVE_RANK_TOLERANCE * float(values[0])
-    else:
-        resolved_tol = float(rank_tolerance)
-    rank = int(np.sum(values > resolved_tol))
+    rank = int(np.sum(values > RELATIVE_RANK_TOLERANCE * top))
 
     values.setflags(write=False)
     vectors.setflags(write=False)
@@ -334,7 +316,6 @@ def decompose(
         eigenvalues=values,
         eigenvectors=vectors,
         rank=rank,
-        rank_tolerance=resolved_tol,
         sweeps=sweeps,
         off_diagonal_norm=off,
     )

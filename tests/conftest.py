@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from reachopt import ConstraintOperator, Objective
 
@@ -33,6 +34,29 @@ def random_psd(
     values = np.zeros(dim)
     values[:rank] = np.exp(rng.uniform(np.log(low), np.log(high), size=rank))
     return (basis * values) @ basis.T
+
+
+@st.composite
+def rank_deficient_psd(draw) -> tuple[np.ndarray, int]:
+    """PSD matrix with a kernel, and its rank; the positive eigenvalues are
+    clustered or graded.
+
+    The retained modes sit at up to ``rank`` levels spread over as many as
+    eight decades below the largest eigenvalue; modes at one level differ
+    by a relative spread of 0 to 1e-4. Every mode stays at least 100 times
+    above the rank cut.
+    """
+    dim = draw(st.integers(2, 8))
+    rank = draw(st.integers(1, dim - 1))
+    top = 10.0 ** draw(st.floats(-3.0, 3.0))
+    levels = np.logspace(0.0, -draw(st.floats(0.0, 8.0)), draw(st.integers(1, rank)))
+    spread = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(dim)
+    chosen = levels[rng.integers(0, levels.size, rank)]
+    values[:rank] = top * chosen * (1.0 + spread * rng.uniform(size=rank))
+    basis = random_orthogonal(rng, dim)
+    return (basis * values) @ basis.T, rank
 
 
 def random_gram_psd(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:

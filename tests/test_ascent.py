@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reachopt import (
     BudgetConstraint,
     ConstraintOperator,
+    DimensionMismatchError,
     DirectionKind,
     InfeasibleStartError,
     Objective,
@@ -59,6 +60,14 @@ class TestBudget:
     def test_centered_cost(self):
         budget = spherical_budget(2.0, center=[1.0, 0.0])
         assert budget.cost(np.array([1.0, 0.0])) == 0.0
+
+    @pytest.mark.parametrize("center", [[1.0], [1.0, 0.0, 0.0]])
+    def test_center_rejects_point_of_another_shape(self, center):
+        # A length-1 center would otherwise broadcast against the point.
+        budget = spherical_budget(2.0, center=center)
+        for call in (budget.cost, budget.cost_gradient):
+            with pytest.raises(DimensionMismatchError):
+                call(np.array([1.0, 0.0]))
 
     def test_kappa_validation(self):
         for kappa in (0.0, -1.0, math.nan, math.inf):

@@ -357,8 +357,10 @@ def test_bad_run_value_fails_naming_file(changes, tmp_path, capsys):
         ({"objective": {"kind": "rosenbrock"}, "operator_field": {"kind": "mask", "mask": [1]},
           "theta0": [0.5]}, "objective"),
         ({"objective": {"kind": "rosenbrock"}, "theta0": [[0.5, 0.5]]}, "theta0"),
+        ({"budget": {"kind": "sphere", "kappa": 1.0, "center": [0.0]}}, "budget"),
+        ({"budget": {"kind": "sphere", "kappa": 1.0, "center": [0.0, 0.0, 0.0]}}, "budget"),
     ],
-    ids=["field", "quadratic", "rosenbrock", "nested-theta0"],
+    ids=["field", "quadratic", "rosenbrock", "nested-theta0", "short-center", "long-center"],
 )
 def test_dimension_mismatch_fails_naming_file_and_key(changes, key, tmp_path, capsys):
     path = tmp_path / "config.json"

@@ -8,8 +8,6 @@ from reachopt import (
     DegenerateDirectionError,
     DimensionMismatchError,
     DirectionKind,
-    InadmissibleDirectionError,
-    first_order_gain,
     optimal_direction,
     sample_unit_effort,
     truncate,
@@ -199,19 +197,6 @@ def test_non_finite_vector_raises(call, bad):
 
 
 class TestFirstOrderGain:
-    def test_aligned(self):
-        op = ConstraintOperator(np.eye(2))
-        assert first_order_gain(op, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        op = ConstraintOperator(np.eye(2))
-        assert first_order_gain(op, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-    def test_rejects_inadmissible(self):
-        op = ConstraintOperator(np.eye(2))
-        with pytest.raises(InadmissibleDirectionError):
-            first_order_gain(op, [1.0, 0.0], [2.0, 0.0])
-
     def test_cauchy_schwarz_bound(self, rng):
         op = ConstraintOperator(random_psd(rng, 5, 4))
         gradient = rng.standard_normal(5)

@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "DirectionKind",
     "DirectionResult",
     "FeasibilityResult",
-    "InadmissibleDirectionError",
     "InfeasibleAtMaxError",
     "InfeasibleStartError",
     "JacobiConvergenceError",
@@ -30,7 +29,6 @@ PUBLIC_NAMES = [
     "decompose",
     "diag_decay_field",
     "find_gamma_star",
-    "first_order_gain",
     "is_feasible",
     "mask_field",
     "objective_from_config",

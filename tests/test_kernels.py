@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from reachopt import (
     ConstraintOperator,
@@ -8,7 +9,7 @@ from reachopt import (
     smallest_k_for_error,
     truncate,
 )
-from conftest import random_orthogonal, random_psd
+from conftest import random_orthogonal, random_psd, rank_deficient_psd
 from oracles import power_iteration_norm
 
 
@@ -74,6 +75,26 @@ class TestTruncate:
             )
             measured = power_iteration_norm(difference)
             assert measured == pytest.approx(kernel.op_error, abs=1e-9)
+
+    @given(rank_deficient_psd())
+    def test_nesting_and_certificate_on_clustered_and_graded_spectra(self, drawn):
+        matrix, rank = drawn
+        spectrum = decompose(matrix)
+        assert spectrum.rank == rank
+        pinv = spectrum.pseudoinverse().entries
+        # Rounding in K_k scales with its largest weight, |A+|_2 = 1 / lambda_min.
+        ulp = np.finfo(float).eps / spectrum.eigenvalues[rank - 1]
+        kernels = [truncate(spectrum, k) for k in range(rank + 1)]
+        assert np.array_equal(kernels[rank].kernel_matrix.entries, pinv)
+        for k, kernel in enumerate(kernels[:-1]):
+            added = rank - k - 1
+            mode = spectrum.eigenvectors[:, added]
+            step = kernels[k + 1].kernel_matrix.entries - kernel.kernel_matrix.entries
+            term = np.outer(mode, mode) / spectrum.eigenvalues[added]
+            assert np.max(np.abs(step - term)) <= 32 * ulp
+            measured = np.linalg.norm(pinv - kernel.kernel_matrix.entries, 2)
+            assert kernel.op_error == 1.0 / spectrum.eigenvalues[added]
+            assert abs(measured - kernel.op_error) <= 1e3 * ulp
 
     def test_certificate_exact_for_flat_tail(self):
         # Equal omitted eigenvalues: the certificate still equals the
@@ -185,5 +206,5 @@ class TestOperatorIntegration:
         kernel = truncate(op.spectrum, 2)
         gradient = rng.standard_normal(5)
         compressed, report = kernel.apply_with_residual(gradient)
-        full = op.pseudoinverse.entries @ gradient
+        full = op.spectrum.pseudoinverse().entries @ gradient
         assert np.allclose(compressed + report.residual_vector, full, atol=1e-12)

@@ -48,29 +48,6 @@ class TestEffort:
         assert type(op.effort([1.0, 0.0])) is float
 
 
-class TestIsAdmissible:
-    def test_unit_effort_under_identity(self):
-        op = ConstraintOperator(np.eye(2))
-        assert op.is_admissible([1.0, 0.0], tol=1e-8)
-
-    def test_kernel_direction_rejected(self):
-        op = ConstraintOperator(np.diag([1.0, 0.0]))
-        assert not op.is_admissible([0.0, 1.0])
-
-    def test_effort_scaling(self):
-        op = ConstraintOperator(np.diag([4.0, 1.0]))
-        assert op.is_admissible([0.5, 0.0])
-
-    def test_non_unit_effort_rejected(self):
-        op = ConstraintOperator(np.eye(2))
-        assert not op.is_admissible([2.0, 0.0])
-
-    def test_zero_vector_raises(self):
-        op = ConstraintOperator(np.eye(2))
-        with pytest.raises(ValueError):
-            op.is_admissible([0.0, 0.0])
-
-
 class TestOperatorGeometry:
     def test_image_kernel_split(self, rng):
         op = ConstraintOperator(random_psd(rng, 6, 4))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from reachopt import (
     DimensionMismatchError,
@@ -16,7 +17,7 @@ from reachopt import (
 )
 from reachopt import spectral
 from reachopt.spectral import _canonicalize_signs, _jacobi_eigensystem, _round_robin_destinations
-from conftest import random_gram_psd, random_orthogonal, random_psd
+from conftest import random_gram_psd, random_orthogonal, random_psd, rank_deficient_psd
 from oracles import eigenvalues_by_charpoly, moore_penrose_residuals
 
 
@@ -46,12 +47,12 @@ class TestSymmetricMatrix:
 
 class TestDecompose:
     def test_identity(self):
-        dec = decompose(np.eye(3), 1e-10)
+        dec = decompose(np.eye(3))
         assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
         assert dec.rank == 3
 
     def test_diagonal_case(self):
-        dec = decompose(np.diag([4.0, 2.0, 1.0]), 1e-10)
+        dec = decompose(np.diag([4.0, 2.0, 1.0]))
         assert np.allclose(dec.eigenvalues, [4.0, 2.0, 1.0])
         # Coordinate axes up to sign; the sign convention makes them exact.
         assert np.array_equal(dec.eigenvectors, np.eye(3))
@@ -80,12 +81,28 @@ class TestDecompose:
             assert np.all(dec.eigenvalues >= -1e-10)
 
     def test_rank_counts_strictly_above_tolerance(self, rng):
-        matrix = random_psd(rng, 6, 3)
-        dec = decompose(matrix)
+        assert decompose(random_psd(rng, 6, 3)).rank == 3
+        # The one rank rule: a mode counts when it exceeds 1e-10 times the
+        # largest eigenvalue, so a mode at 2e-10 stays and one at 0.5e-10 goes.
+        basis = random_orthogonal(rng, 6)
+        values = np.array([1.0, 0.3, 2e-10, 0.5e-10, 0.0, 0.0])
+        dec = decompose((basis * values) @ basis.T)
+        assert spectral.RELATIVE_RANK_TOLERANCE == 1e-10
         assert dec.rank == 3
-        # A tolerance at the largest eigenvalue kills every mode.
-        top = float(dec.eigenvalues[0])
-        assert decompose(matrix, rank_tolerance=top).rank == 0
+
+    @pytest.mark.parametrize("exponent", [-40, 40])
+    def test_power_of_two_scaling_changes_only_eigenvalues(self, rng, exponent):
+        # Every tolerance is relative: the scaled matrix runs the same sweeps
+        # on scaled entries, keeps its rank and passes the PSD test.
+        basis = random_orthogonal(rng, 7)
+        values = np.array([1.0, 0.5, 0.3, 2e-10, 0.5e-10, 0.0, 0.0])
+        matrix = (basis * values) @ basis.T
+        dec = decompose(matrix)
+        scaled = decompose(np.ldexp(matrix, exponent))
+        assert scaled.rank == dec.rank == 4
+        assert scaled.sweeps == dec.sweeps
+        assert np.array_equal(scaled.eigenvalues, np.ldexp(dec.eigenvalues, exponent))
+        assert np.array_equal(scaled.eigenvectors, dec.eigenvectors)
 
     def test_sign_convention(self, rng):
         dec = decompose(random_psd(rng, 5, 5))
@@ -118,11 +135,6 @@ class TestDecompose:
         with pytest.raises(JacobiConvergenceError) as excinfo:
             decompose(matrix)
         assert excinfo.value.off_diagonal_residual > 0.0
-
-    def test_rejects_negative_rank_tolerance(self):
-        for tolerance in (-1.0, math.nan):
-            with pytest.raises(ValueError):
-                decompose(np.eye(2), rank_tolerance=tolerance)
 
     def test_zero_matrix(self):
         dec = decompose(np.zeros((3, 3)))
@@ -325,6 +337,18 @@ class TestPseudoinverse:
             sym = (matrix + matrix.T) / 2.0
             pinv = decompose(sym).pseudoinverse().entries
             assert max(moore_penrose_residuals(sym, pinv)) <= 1e-9
+
+    @given(rank_deficient_psd())
+    def test_identities_on_clustered_and_graded_spectra(self, drawn):
+        matrix, rank = drawn
+        dec = decompose(matrix)
+        assert dec.rank == rank
+        # Backward-stable level: residuals grow with the condition number of
+        # the retained modes.
+        kappa = dec.eigenvalues[0] / dec.eigenvalues[rank - 1]
+        sym = SymmetricMatrix(matrix).entries
+        residuals = moore_penrose_residuals(sym, dec.pseudoinverse().entries)
+        assert max(residuals) <= 1e3 * np.finfo(float).eps * kappa
 
 
 class TestProjectOntoImage:

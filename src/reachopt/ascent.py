@@ -115,7 +115,7 @@ def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
     return BudgetConstraint(cost, cost_gradient, float(kappa))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryStep:
     step: int
     point: np.ndarray
@@ -127,7 +127,7 @@ class TrajectoryStep:
     budget_active: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryRecord:
     """Per-iteration log of an ascent run plus the terminal state."""
 

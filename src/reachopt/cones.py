@@ -58,7 +58,7 @@ def _violations(points: np.ndarray, axes: np.ndarray, half_angles: np.ndarray) -
     return np.arctan2(np.linalg.norm(rejections, axis=2), cosines) - half_angles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircularCone:
     """All vectors within ``half_angle`` radians of the (unit) axis."""
 
@@ -86,7 +86,7 @@ class CircularCone:
         return self.axis.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingFamily:
     """Nonempty collection of circular cones enlarged jointly by one level.
 
@@ -127,7 +127,7 @@ class CouplingFamily:
         return float(np.max(_violations(point[None, :], self.axes_matrix(), limits)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     """Feasibility verdict with the minimax residual.
 
@@ -143,7 +143,7 @@ class FeasibilityResult:
     pivots: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdResult:
     """Bracket on the compatibility threshold.
 

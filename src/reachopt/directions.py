@@ -33,7 +33,7 @@ class DirectionKind(str, Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionResult:
     """Outcome of a direction solve.
 
@@ -62,8 +62,8 @@ def _scaled_coefficients(basis: np.ndarray, top: float, vector: np.ndarray):
 
 def _reaches(values: np.ndarray, coeffs: np.ndarray, level: float) -> bool:
     """The one degeneracy rule: the operator action |lambda * c| exceeds ``level``."""
-    mapped = values * coeffs
-    return math.sqrt(float(mapped @ mapped)) > level
+    # hypot scales internally, so an action above about 1e154 does not overflow.
+    return math.hypot(*(values * coeffs).tolist()) > level
 
 
 def optimal_direction(

@@ -26,7 +26,7 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Exact accounting of what a truncation discarded for one gradient.
 

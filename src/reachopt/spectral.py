@@ -1,9 +1,10 @@
 """Dense symmetric eigendecomposition, pseudoinversion, and spectral projections.
 
 Everything in this module is deterministic: the eigensolver performs
-round-robin Jacobi sweeps in a fixed order using elementwise arithmetic only,
-eigenvalues are ordered descending with a stable sort, and each eigenvector's
-first nonzero component is flipped to be positive. Decompositions of the same
+round-robin Jacobi sweeps in a fixed order (a cached per-dimension plan pairs
+rows that stay in place) using elementwise arithmetic only, eigenvalues are
+ordered descending with a stable sort, and each eigenvector's first nonzero
+component is flipped to be positive. Decompositions of the same
 matrix from the same ``start`` are therefore bit-identical across runs and
 BLAS thread counts. ``run_ascent`` starts the operators built during the run
 from the previous step's eigenvectors, so along a point-dependent field the
@@ -12,6 +13,7 @@ bits also depend on the trajectory so far; repeat runs still match.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,7 +91,7 @@ class SymmetricMatrix:
         return f"SymmetricMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigensystem of a PSD symmetric matrix.
 
@@ -162,17 +164,30 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return math.sqrt(float(np.sum(off * off)))
 
 
-def _round_robin_destinations(m: int) -> np.ndarray:
-    """Next-round slots of the first and second row of each pair (2i, 2i+1).
+@functools.lru_cache(maxsize=8)
+def _round_plan(n: int) -> tuple:
+    """The m - 1 rounds of a sweep at dimension ``n``, m = n rounded up to even.
 
-    Slot 0 stays; the others step along 2 -> 4 -> ... -> m-2 -> m-1 -> m-3 -> ...
-    -> 1 -> 2 (Brent and Luk's circle method), so in m - 1 rounds every two
-    indices share a pair once and every row returns to its starting slot.
+    Rows stay in place; only the pairing moves. Pair i is the rows in slots
+    (2i, 2i+1). Slot 0 stays; the others step along 2 -> 4 -> ... -> m-2 -> m-1
+    -> m-3 -> ... -> 1 -> 2 (Brent and Luk's circle method), so in m - 1 rounds
+    every two rows share a pair once. Per round and row r, in a pair (p, q):
+    r's partner, the flat positions of (p, p), (q, q) and (p, q), the sign of
+    ``s`` in r's rotated row (-1 on p, +1 on q) and the flat position of (r, partner).
     """
+    m = n + n % 2
+    width = m + n
     cycle = np.concatenate((np.arange(2, m, 2), np.arange(m - 1, 0, -2)))
-    destination = np.zeros(m, dtype=np.intp)
+    destination, rows = np.arange(m), np.arange(m)
     destination[cycle] = np.roll(cycle, -1)
-    return destination.reshape(-1, 2).T
+    slot, plan = rows, []
+    for _ in range(m - 1):
+        occupant = np.argsort(slot)
+        partner, p, q = occupant[slot ^ 1], occupant[slot & -2], occupant[slot | 1]
+        entries = np.stack((p * (width + 1), q * (width + 1), p * width + q))
+        plan.append((partner, entries, (2.0 * (slot & 1) - 1.0)[:, None], rows * width + partner))
+        slot = destination[slot]
+    return tuple(plan)
 
 
 def _orthonormal_start(start, dim: int) -> np.ndarray:
@@ -197,10 +212,12 @@ def _jacobi_eigensystem(
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     n = matrix.shape[0]
     m = n + n % 2
-    width = m + n
+    # An exact power-of-two scaling keeps the norms below in range; results are scaled back.
+    exponent = math.frexp(float(np.max(np.abs(matrix))))[1]
+    matrix = np.ldexp(matrix, -exponent)
     # Each row holds a row of the working matrix (an odd n gets a zero pad row
     # and column, which never rotate) followed by one eigenvector.
-    state = np.zeros((m, width))
+    state = np.zeros((m, m + n))
     if start is None:
         state[:n, :n] = matrix
         state[:, m:] = np.eye(m, n)
@@ -215,28 +232,15 @@ def _jacobi_eigensystem(
     target = _CONVERGENCE_FACTOR * scale
     # Elements this small cannot keep the off-diagonal norm above target.
     skip = target / max(n * n, 1)
-    first = np.arange(0, m, 2)
-    to_first, to_second = moved = _round_robin_destinations(m)
-    # Flat positions of (p, p), (q, q), (p, q) per pair, and of (p, q), (q, p) once moved.
-    pair_entries = first * width + np.stack((first, first + width + 1, first + 1))
-    rotated_entries = moved * width + moved[::-1]
-
-    def rotate_rows(rows: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-        # Elementwise only: no BLAS call, so the bits do not depend on threads.
-        p, q = rows[0::2], rows[1::2]
-        out = np.empty(rows.shape)
-        out[to_first] = c * p - s * q
-        out[to_second] = s * p + c * q
-        return out
-
-    off = _off_diagonal_norm(state[:, :m])
+    flat, block = state.ravel(), state[:, :m]
+    off = _off_diagonal_norm(block)
     sweeps = 0
     with np.errstate(invalid="ignore"):
         while off > target:
             if sweeps >= DEFAULT_MAX_SWEEPS:
-                raise JacobiConvergenceError(off, sweeps)
-            for _ in range(m - 1):
-                app, aqq, apq = state.ravel()[pair_entries]
+                raise JacobiConvergenceError(math.ldexp(off, exponent), sweeps)
+            for partner, entries, sign, zero_at in _round_plan(n):
+                app, aqq, apq = flat[entries]
                 rotate = np.abs(apq) > skip
                 # t = tan of the angle (<= pi/4) zeroing apq; any 0/0 is in a skipped pair.
                 diff, twice = aqq - app, 2.0 * apq
@@ -244,13 +248,21 @@ def _jacobi_eigensystem(
                 t = np.where(rotate, t, 0.0)[:, None]
                 c = 1.0 / np.hypot(1.0, t)
                 s = t * c
-                state = rotate_rows(state, c, s)
+                s *= sign
+                # Elementwise only, so no BLAS call: c*p + (-s)*q is c*p - s*q bit for bit.
+                buf = state.take(partner, 0)
+                buf *= s
+                state *= c
+                state += buf
                 # The matrix is symmetric, so G^T A G = G^T (G^T A)^T.
-                state[:, :m] = rotate_rows(state[:, :m].T, c, s)
-                state.ravel()[rotated_entries[:, rotate]] = 0.0
+                buf = block.T.take(partner, 0)
+                buf *= s
+                np.add(block.T * c, buf, out=block)
+                flat[zero_at[rotate]] = 0.0
             sweeps += 1
-            off = _off_diagonal_norm(state[:, :m])
-    return state.diagonal()[:n].copy(), state[:n, m:].T.copy(), sweeps, off
+            off = _off_diagonal_norm(block)
+    values, off = np.ldexp(state.diagonal()[:n], exponent), math.ldexp(off, exponent)
+    return values, state[:n, m:].T.copy(), sweeps, off
 
 
 def _canonicalize_signs(vectors: np.ndarray) -> None:
@@ -265,8 +277,11 @@ def decompose(matrix, *, start=None) -> SpectralDecomposition:
     """Eigendecompose a symmetric PSD matrix with round-robin Jacobi rotations.
 
     Each sweep runs m - 1 rounds, m being the dimension rounded up to even;
-    a round applies m/2 disjoint rotations at once. Every tolerance is
-    relative: scaling by a power of two scales only the eigenvalues, exactly.
+    a round applies m/2 disjoint rotations at once to rows that stay in
+    place, paired by Brent and Luk's circle method. Jacobi runs on the matrix
+    divided by the power of two of its largest entry, which is exact, so
+    every tolerance is relative and a Frobenius norm beyond the floating-point
+    range does no harm: scaling by a power of two scales only the eigenvalues.
 
     Parameters
     ----------

@@ -4,7 +4,8 @@ Nothing here touches the library's own spectral code paths: eigenvalues come
 from characteristic-polynomial roots, operator norms from power iteration,
 cone thresholds from the closed-form two-cone geometry, cone minimax values
 from enumerating every small cone subset, and constrained optima from
-brute-force grids.
+brute-force grids. ``jacobi_reference`` keeps the library's earlier
+moving-layout Jacobi solver, whose bits the in-place solver must reproduce.
 """
 
 from __future__ import annotations
@@ -195,3 +196,76 @@ def enumerated_minimax(axes: np.ndarray, half_angles: np.ndarray) -> tuple[float
                 if value < best_value:
                     best_value, best_point = value, x
     return best_value, best_point
+
+
+def _moving_destinations(m: int) -> np.ndarray:
+    cycle = np.concatenate((np.arange(2, m, 2), np.arange(m - 1, 0, -2)))
+    destination = np.zeros(m, dtype=np.intp)
+    destination[cycle] = np.roll(cycle, -1)
+    return destination.reshape(-1, 2).T
+
+
+def _moving_off_diagonal_norm(a: np.ndarray) -> float:
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    return math.sqrt(float(np.sum(off * off)))
+
+
+def jacobi_reference(
+    matrix: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Round-robin Jacobi with the circle-method permutation applied to the data.
+
+    The moving-layout solver ``spectral`` used before its rounds kept rows in
+    place, kept verbatim: pair i sits in rows (2i, 2i+1) and every round moves
+    the rows (and, through the transposed column pass, the columns) to their
+    next slots. ``matrix`` is symmetric and ``start``, if given, orthonormal.
+    Returns unsorted eigenvalues, eigenvector columns, sweeps and the final
+    off-diagonal norm, which the in-place solver must reproduce bit for bit.
+    """
+    n = matrix.shape[0]
+    m = n + n % 2
+    width = m + n
+    state = np.zeros((m, width))
+    if start is None:
+        state[:n, :n] = matrix
+        state[:, m:] = np.eye(m, n)
+    else:
+        rotated = np.einsum("ki,kj->ij", start, np.einsum("ik,kj->ij", matrix, start))
+        state[:n, :n] = (rotated + rotated.T) / 2.0
+        state[:n, m:] = start.T
+    scale = float(np.sqrt(np.sum(matrix * matrix)))
+    target = 1e-14 * scale
+    skip = target / max(n * n, 1)
+    first = np.arange(0, m, 2)
+    to_first, to_second = moved = _moving_destinations(m)
+    pair_entries = first * width + np.stack((first, first + width + 1, first + 1))
+    rotated_entries = moved * width + moved[::-1]
+
+    def rotate_rows(rows: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        p, q = rows[0::2], rows[1::2]
+        out = np.empty(rows.shape)
+        out[to_first] = c * p - s * q
+        out[to_second] = s * p + c * q
+        return out
+
+    off = _moving_off_diagonal_norm(state[:, :m])
+    sweeps = 0
+    with np.errstate(invalid="ignore"):
+        while off > target:
+            if sweeps >= 100:
+                raise RuntimeError("no convergence in 100 sweeps")
+            for _ in range(m - 1):
+                app, aqq, apq = state.ravel()[pair_entries]
+                rotate = np.abs(apq) > skip
+                diff, twice = aqq - app, 2.0 * apq
+                t = np.copysign(1.0, diff) * twice / (np.abs(diff) + np.hypot(twice, diff))
+                t = np.where(rotate, t, 0.0)[:, None]
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                state = rotate_rows(state, c, s)
+                state[:, :m] = rotate_rows(state[:, :m].T, c, s)
+                state.ravel()[rotated_entries[:, rotate]] = 0.0
+            sweeps += 1
+            off = _moving_off_diagonal_norm(state[:, :m])
+    return state.diagonal()[:n].copy(), state[:n, m:].T.copy(), sweeps, off

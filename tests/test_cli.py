@@ -50,6 +50,19 @@ class TestDirectionCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"kind": "degenerate", "direction": None, "gain": 0.0}
 
+    def test_entries_near_1e300_keep_the_kernel(self, tmp_path, capsys):
+        # |A|_F overflows for this rank-1 operator; [1, -1] lies in its kernel.
+        operator = tmp_path / "op.json"
+        operator.write_text(json.dumps({"dim": 2, "entries": [[1e300, 1e300], [1e300, 1e300]]}))
+        gradient = tmp_path / "g.json"
+        for values, kind in (([1.0, -1.0], "degenerate"), ([1.0, 1.0], "optimal")):
+            gradient.write_text(json.dumps(values))
+            assert main(["direction", "--operator", str(operator), "--gradient", str(gradient)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["kind"] == kind
+        direction = np.asarray(payload["direction"])
+        assert abs(direction[0] / direction[1] - 1.0) <= 1e-15
+
     def test_missing_file_fails_cleanly(self, gradient_file, capsys):
         code = main(["direction", "--operator", "/nonexistent.json", "--gradient", gradient_file])
         assert code == 2

@@ -31,6 +31,14 @@ class TestOptimalDirection:
         assert result.direction is None
         assert result.first_order_gain == 0.0
 
+    def test_kernel_of_an_operator_with_overflowing_norm_is_degenerate(self):
+        # |A|_F overflows at 2^511 * ones; the kernel is still found.
+        op = ConstraintOperator(np.ldexp(np.ones((2, 2)), 511))
+        assert optimal_direction(op, [1.0, -1.0]).kind is DirectionKind.DEGENERATE
+        result = optimal_direction(op, [1.0, 1.0])
+        assert result.kind is DirectionKind.OPTIMAL
+        assert abs(result.direction[0] / result.direction[1] - 1.0) <= 1e-15
+
     def test_zero_gradient_is_degenerate(self):
         op = ConstraintOperator(np.eye(3))
         assert optimal_direction(op, np.zeros(3)).kind is DirectionKind.DEGENERATE

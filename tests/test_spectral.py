@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from reachopt import (
     DimensionMismatchError,
@@ -16,9 +17,9 @@ from reachopt import (
     decompose,
 )
 from reachopt import spectral
-from reachopt.spectral import _canonicalize_signs, _jacobi_eigensystem, _round_robin_destinations
+from reachopt.spectral import _canonicalize_signs, _jacobi_eigensystem, _round_plan
 from conftest import random_gram_psd, random_orthogonal, random_psd, rank_deficient_psd
-from oracles import eigenvalues_by_charpoly, moore_penrose_residuals
+from oracles import eigenvalues_by_charpoly, jacobi_reference, moore_penrose_residuals
 
 
 class TestSymmetricMatrix:
@@ -104,6 +105,20 @@ class TestDecompose:
         assert np.array_equal(scaled.eigenvalues, np.ldexp(dec.eigenvalues, exponent))
         assert np.array_equal(scaled.eigenvectors, dec.eigenvectors)
 
+    @pytest.mark.parametrize("exponent", [511, 1000, -1000])
+    def test_frobenius_norm_out_of_range(self, exponent):
+        # The sum of squares behind |A|_F overflows (or underflows); A and its spectrum do not.
+        dec = decompose(np.ldexp([[1.0, 1.0], [1.0, 1.0]], exponent))
+        assert dec.rank == 1 and dec.sweeps == 1
+        assert dec.eigenvalues[1] == 0.0
+        assert abs(dec.eigenvalues[0] / math.ldexp(1.0, exponent + 1) - 1.0) <= 1e-15
+        assert np.allclose(dec.eigenvectors[:, 0], [math.sqrt(0.5)] * 2, rtol=1e-15)
+
+    def test_subnormal_entries(self):
+        dec = decompose(np.ldexp([[2.0, 1.0], [1.0, 2.0]], -1070))
+        assert dec.rank == 2 and dec.sweeps == 1
+        assert np.array_equal(dec.eigenvalues, np.ldexp([3.0, 1.0], -1070))
+
     def test_sign_convention(self, rng):
         dec = decompose(random_psd(rng, 5, 5))
         for j in range(5):
@@ -168,16 +183,13 @@ def _signs_by_column(vectors):
 class TestRoundRobinJacobi:
     @pytest.mark.parametrize("m", [2, 4, 6, 34, 64])
     def test_schedule_meets_every_pair_once(self, m):
-        to_first, to_second = _round_robin_destinations(m)
-        slots = np.arange(m)
+        rows = np.arange(m)
         met = set()
-        for _ in range(m - 1):
-            met.update(frozenset(pair) for pair in slots.reshape(-1, 2).tolist())
-            moved = np.empty(m, dtype=int)
-            moved[to_first], moved[to_second] = slots[0::2], slots[1::2]
-            slots = moved
+        for partner, _, sign, _ in _round_plan(m):
+            assert np.array_equal(partner[partner], rows) and not np.any(partner == rows)
+            assert np.array_equal(sign[partner], -sign)
+            met.update(frozenset(pair) for pair in zip(rows.tolist(), partner.tolist()))
         assert len(met) == m * (m - 1) // 2
-        assert np.array_equal(slots, np.arange(m))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 33])
     def test_odd_and_even_sizes(self, dim):
@@ -221,6 +233,54 @@ class TestRoundRobinJacobi:
         _canonicalize_signs(vectors)
         assert np.array_equal(vectors, expected)
         assert np.array_equal(np.signbit(vectors), np.signbit(expected))
+
+
+def _moving_layout_case(dim, kind):
+    rng = np.random.default_rng(dim)
+    if kind == "gram":
+        return random_gram_psd(rng, dim, dim)
+    if kind == "rank-deficient":
+        return random_psd(rng, dim, dim // 2)
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.0, 4.0, dim))
+    return np.zeros((dim, dim))
+
+
+def _assert_same_as_moving_layout(matrix, start=None):
+    """decompose against the moving-layout solver plus decompose's own sort and signs."""
+    sym = SymmetricMatrix(matrix)
+    dec = decompose(sym, start=start)
+    refined = None if start is None else spectral._orthonormal_start(start, sym.dim)
+    values, vectors, sweeps, off = jacobi_reference(sym.entries, refined)
+    order = np.argsort(-values, kind="stable")
+    values, vectors = values[order], vectors[:, order]
+    values[values < 0.0] = 0.0
+    _canonicalize_signs(vectors)
+    assert dec.eigenvalues.tobytes() == values.tobytes()
+    assert dec.eigenvectors.tobytes() == vectors.tobytes()
+    assert (dec.sweeps, dec.off_diagonal_norm) == (sweeps, off)
+
+
+class TestSameWorkAsMovingLayout:
+    """Rounds that keep rows in place do the moving-layout rounds' arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize(
+        "dim,kind",
+        [(dim, kind) for dim in (1, 2, 3, 5, 8, 9, 12)
+         for kind in ("gram", "rank-deficient", "diagonal", "zero")]
+        + [(33, "rank-deficient"), (64, "gram")],
+    )
+    def test_matches_reference(self, dim, kind, warm):
+        start = random_orthogonal(np.random.default_rng(dim + 1), dim) if warm else None
+        _assert_same_as_moving_layout(_moving_layout_case(dim, kind), start)
+
+    @given(rank_deficient_psd(), st.booleans(), st.integers(-60, 60))
+    def test_matches_reference_on_drawn_spectra(self, drawn, warm, exponent):
+        matrix = np.ldexp(drawn[0], exponent)
+        dim = matrix.shape[0]
+        start = random_orthogonal(np.random.default_rng(dim), dim) if warm else None
+        _assert_same_as_moving_layout(matrix, start)
 
 
 _HASH_SCRIPT = """

@@ -48,13 +48,15 @@ def quadratic_objective(matrix, linear) -> Objective:
     if offset.shape != (quad.dim,):
         raise ValueError("linear term does not match the quadratic dimension")
 
+    entries = quad.entries  # products stay `@`: at n = 1, `.dot` can give -0.0 for 0.0
+
     def evaluate(point: np.ndarray) -> float:
         x = np.asarray(point, dtype=float)
-        return float(-0.5 * (x @ quad.entries @ x) + offset @ x)
+        return -0.5 * float(x @ entries @ x) + float(offset @ x)
 
     def gradient(point: np.ndarray) -> np.ndarray:
         x = np.asarray(point, dtype=float)
-        return -(quad.entries @ x) + offset
+        return offset - entries @ x
 
     return Objective(evaluate, gradient, name="quadratic")
 
@@ -95,9 +97,12 @@ class BudgetConstraint:
 def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
     """Squared-distance cost ``|x - center|^2`` under the cap ``kappa``.
 
-    A point of another shape than ``center`` raises ``DimensionMismatchError``.
+    A ``center`` that is not a finite 1-d sequence raises ``ValueError``, and a
+    point of another shape than ``center`` ``DimensionMismatchError``.
     """
     center_arr = None if center is None else np.asarray(center, dtype=float)
+    if center_arr is not None and not (center_arr.ndim == 1 and np.all(np.isfinite(center_arr))):
+        raise ValueError("center must be a 1-d sequence of finite numbers")
 
     def shift(point: np.ndarray) -> np.ndarray:
         x = np.asarray(point, dtype=float)
@@ -107,7 +112,7 @@ def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
 
     def cost(point: np.ndarray) -> float:
         shifted = shift(point)
-        return float(shifted @ shifted)
+        return float(shifted.dot(shifted))
 
     def cost_gradient(point: np.ndarray) -> np.ndarray:
         return 2.0 * shift(point)
@@ -142,6 +147,13 @@ def _is_active(budget: BudgetConstraint, cost_value: float) -> bool:
     return (budget.kappa - cost_value) < ACTIVATION_TOLERANCE * max(1.0, budget.kappa)
 
 
+def _is_finite(vector: np.ndarray, shape: tuple, name: str) -> bool:
+    """Whether ``vector`` is finite; a shape other than the point's raises first."""
+    if vector.shape != shape:
+        raise DimensionMismatchError(f"{name} of shape {vector.shape} does not match {shape}")
+    return all(map(math.isfinite, vector.tolist()))
+
+
 def run_ascent(
     objective: Objective,
     operator_field: OperatorField,
@@ -156,8 +168,9 @@ def run_ascent(
     when no ascent direction remains, ``"budget-stall"`` when even
     ``BACKTRACK_LIMIT`` halvings of the step cannot keep the cost under the
     cap, and ``"non-finite"`` when a callback returns a non-finite value. A
-    non-finite gradient, or a non-finite cost gradient where the budget is
-    active, stops the run at that iterate without logging or leaving it; a
+    gradient, or a cost gradient where the budget is active, of another shape
+    than the point raises ``DimensionMismatchError``; a non-finite one stops
+    the run at that iterate without logging or leaving it; a
     non-finite cost or objective at a candidate stops it at the current
     iterate, logged with step size 0, so no logged row or final field holds
     a non-finite value. A step size ``eta`` that is not positive and finite,
@@ -202,7 +215,8 @@ def run_ascent(
             grad = np.asarray(objective.gradient(theta), dtype=float)
             active = budget is not None and _is_active(budget, cost_value)
             normal = np.asarray(budget.cost_gradient(theta), dtype=float) if active else None
-            if not np.all(np.isfinite(grad)) or (active and not np.all(np.isfinite(normal))):
+            if not (_is_finite(grad, theta.shape, "gradient")
+                    and (normal is None or _is_finite(normal, theta.shape, "cost gradient"))):
                 status = "non-finite"
                 break
             operator = operator_field(theta)
@@ -233,23 +247,13 @@ def run_ascent(
                 if not math.isfinite(next_value):
                     status, step_size, next_theta = "non-finite", 0.0, None
 
-            rows.append(
-                TrajectoryStep(
-                    index, theta.copy(), value,
-                    cost_value, result.kind, result.first_order_gain, step_size, active,
-                )
-            )
+            rows.append(TrajectoryStep(index, theta.copy(), value, cost_value, result.kind,
+                                       result.first_order_gain, step_size, active))
             if next_theta is None:
                 break
             theta, value, cost_value = next_theta, next_value, next_cost
 
-    return TrajectoryRecord(
-        steps=rows,
-        status=status,
-        final_point=theta,
-        final_objective=value,
-        final_cost=cost_value,
-    )
+    return TrajectoryRecord(rows, status, theta, value, cost_value)
 
 
 def write_trace_csv(record: TrajectoryRecord, path) -> None:

@@ -14,8 +14,10 @@ when ``operator.project_onto_image(d)`` returns d and ``operator.effort(d)`` is 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 import numpy as np
 
@@ -56,14 +58,14 @@ def _scaled_coefficients(basis: np.ndarray, top: float, vector: np.ndarray):
     # A Python max over the list costs less than numpy calls at ascent sizes.
     exponent = math.frexp(max(map(abs, vector.tolist())))[1]
     unit = np.ldexp(vector, -exponent)
-    level = DEGENERACY_FACTOR * top * math.sqrt(float(unit @ unit))
+    level = DEGENERACY_FACTOR * top * math.sqrt(unit.dot(unit))
     return basis.T @ unit, exponent, level
 
 
 def _reaches(values: np.ndarray, coeffs: np.ndarray, level: float) -> bool:
     """The one degeneracy rule: the operator action |lambda * c| exceeds ``level``."""
-    # hypot scales internally, so an action above about 1e154 does not overflow.
-    return math.hypot(*(values * coeffs).tolist()) > level
+    # hypot scales internally, and a Python product past the float range is inf, unwarned.
+    return math.hypot(*map(mul, values.tolist(), coeffs.tolist())) > level
 
 
 def optimal_direction(
@@ -88,31 +90,39 @@ def optimal_direction(
     in the pseudoinverse metric, degenerate at a KKT point of the boundary.
     A degenerate gradient stays degenerate, and a normal that fails the
     degeneracy rule has no reachable component and leaves the free direction.
+
+    Each vector is checked once: a shape other than ``(operator.dim,)`` raises
+    ``DimensionMismatchError``, a non-finite entry ``ValueError``.
     """
     grad = _as_vector(gradient, operator.dim, "gradient")
-    spectrum, rank, top = operator.spectrum, operator.reachable_dim, operator.operator_norm
-    values, basis = spectrum.eigenvalues[:rank], spectrum.eigenvectors[:, :rank]
-    coeffs, exponent, level = _scaled_coefficients(basis, top, grad)
     if normal is not None:
         normal = _as_vector(normal, operator.dim, "normal")
-        normal_coeffs, _, normal_level = _scaled_coefficients(basis, top, normal)
-        outward = float(normal_coeffs @ (coeffs / values))
-        if (outward > 0.0 and _reaches(values, coeffs, level)
-                and _reaches(values, normal_coeffs, normal_level)):
-            mu = outward / float(normal_coeffs @ (normal_coeffs / values))
-            coeffs = coeffs - mu * normal_coeffs
-    # The operator action |lambda * c|, the pseudoinverse action U_r (c / lambda)
-    # and its effort c . (c / lambda) all come from c; dividing by the root of
-    # the effort leaves unit effort by construction.
-    scaled = coeffs / values
-    root = math.sqrt(float(coeffs @ scaled))
+    values, basis, top, tiny = operator._modes
+    try:
+        # On tiny eigenvalues an overflow of c / lambda means the effort leaves the range.
+        with np.errstate(over="raise") if tiny else nullcontext():
+            coeffs, exponent, level = _scaled_coefficients(basis, top, grad)
+            if normal is not None:
+                normal_coeffs, _, normal_level = _scaled_coefficients(basis, top, normal)
+                outward = float(normal_coeffs.dot(coeffs / values))
+                if (outward > 0.0 and _reaches(values, coeffs, level)
+                        and _reaches(values, normal_coeffs, normal_level)):
+                    mu = outward / float(normal_coeffs.dot(normal_coeffs / values))
+                    coeffs = coeffs - mu * normal_coeffs
+            # The operator action |lambda * c|, the pseudoinverse action U_r (c / lambda)
+            # and its effort c . (c / lambda) all come from c; dividing by the root of
+            # the effort leaves unit effort by construction.
+            scaled = coeffs / values
+            root = math.sqrt(coeffs.dot(scaled))
+    except FloatingPointError:
+        return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, math.inf)
     in_range = math.frexp(root)[1] + exponent <= 1024
     weighted_norm = math.ldexp(root, exponent) if in_range else math.inf
     if not (_reaches(values, coeffs, level) and 0.0 < weighted_norm < math.inf):
         return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm)
-    direction = basis @ (scaled / root)
+    direction = basis.dot(scaled / root)
     direction.setflags(write=False)
-    gain = float(grad @ direction)
+    gain = float(grad.dot(direction))
     return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm)
 
 
@@ -125,15 +135,11 @@ def sample_unit_effort(operator: ConstraintOperator, count: int, rng=None) -> np
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    rank = operator.reachable_dim
-    if rank == 0:
-        raise DegenerateDirectionError(
-            "the zero operator admits no unit-effort directions"
-        )
+    values, basis, _, _ = operator._modes
+    if values.size == 0:
+        raise DegenerateDirectionError("the zero operator admits no unit-effort directions")
     generator = np.random.default_rng(rng)
-    values = operator.spectrum.eigenvalues[:rank]
-    basis = operator.spectrum.eigenvectors[:, :rank]
-    coeff = generator.standard_normal((count, rank))
+    coeff = generator.standard_normal((count, values.size))
     efforts = (coeff * coeff) @ values
     efforts = np.maximum(efforts, np.finfo(float).tiny)
     return (coeff / np.sqrt(efforts)[:, None]) @ basis.T

@@ -9,6 +9,7 @@ are constant in the point, but any pure callable works.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
@@ -37,7 +38,7 @@ class ConstraintOperator:
     eigenvectors; any other is decomposed cold.
     """
 
-    __slots__ = ("_matrix", "_spectrum")
+    __slots__ = ("_matrix", "_spectrum", "_modes")
 
     def __init__(self, matrix) -> None:
         sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
@@ -46,7 +47,11 @@ class ConstraintOperator:
         if start is not None and start.shape[0] != sym.dim:
             start = None
         self._matrix = sym
-        self._spectrum = decompose(sym, start=start)
+        self._spectrum = spectrum = decompose(sym, start=start)
+        # (lambda_r, U_r, lambda_max, tiny) for direction solves; tiny: c / lambda can overflow.
+        values, rank = spectrum.eigenvalues, spectrum.rank
+        tiny = rank > 0 and not math.isfinite(sym.dim / float(values[rank - 1]))
+        self._modes = (values[:rank], spectrum.eigenvectors[:, :rank], float(values[0]), tiny)
 
     @property
     def matrix(self) -> SymmetricMatrix:
@@ -67,7 +72,7 @@ class ConstraintOperator:
     @property
     def operator_norm(self) -> float:
         """Largest eigenvalue (zero for the zero operator)."""
-        return float(self._spectrum.eigenvalues[0])
+        return self._modes[2]
 
     def project_onto_image(self, vector) -> np.ndarray:
         return self._spectrum.project_onto_image(vector)

@@ -67,15 +67,19 @@ class SymmetricMatrix:
     """Real symmetric matrix.
 
     Input is symmetrized to ``(A + A.T) / 2`` at construction, which makes the
-    symmetry invariant exact rather than approximate. Entries are stored in a
-    read-only array, so instances are safe to share across threads.
+    symmetry invariant exact rather than approximate (a sum that overflows
+    raises ``ValueError``). Entries are stored in a read-only array, so
+    instances are safe to share across threads.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries) -> None:
         arr = _as_square_array(entries)
-        sym = (arr + arr.T) / 2.0
+        with np.errstate(over="ignore"):
+            sym = (arr + arr.T) / 2.0
+        if not np.isfinite(sym).all():
+            raise ValueError("matrix entries are too large to symmetrize")
         sym.setflags(write=False)
         self._entries = sym
 

@@ -69,6 +69,14 @@ class TestBudget:
             with pytest.raises(DimensionMismatchError):
                 call(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "center", [[np.nan, 0.0], [0.0, -np.inf], [[0.0, 0.0]], 0.0],
+        ids=["nan", "inf", "two-d", "scalar"],
+    )
+    def test_center_must_be_finite_and_one_dimensional(self, center):
+        with pytest.raises(ValueError, match="center"):
+            spherical_budget(1.0, center=center)
+
     def test_kappa_validation(self):
         for kappa in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -322,6 +330,30 @@ class TestRunAscent:
         assert record.steps == []
         assert np.array_equal(record.final_point, [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "gradient",
+        [lambda x: 1.0, lambda x: x[None, :], lambda x: np.append(x, 0.0),
+         lambda x: np.full(3, np.nan)],
+        ids=["scalar", "row", "longer", "longer-nan"],
+    )
+    def test_gradient_of_another_shape_raises(self, gradient):
+        # The shape is checked before finiteness, so a wrong shape is never "non-finite".
+        objective = Objective(lambda point: float(point[0]), gradient)
+        with pytest.raises(DimensionMismatchError):
+            run_ascent(objective, constant_field(np.eye(2)), None, np.zeros(2), 3, 1e-2)
+
+    def test_cost_gradient_of_another_length_at_an_active_budget_raises(self):
+        base = spherical_budget(1.0)
+        budget = BudgetConstraint(base.cost, lambda point: np.ones(3), base.kappa)
+        objective = quadratic_objective(np.eye(2), [2.0, 1.0])
+        with pytest.raises(DimensionMismatchError):
+            run_ascent(objective, constant_field(np.eye(2)), budget, [1.0, 0.0], 3, 1e-2)
+
+    def test_field_of_another_dimension_raises(self):
+        objective = quadratic_objective(np.eye(2), [2.0, 1.0])
+        with pytest.raises(DimensionMismatchError):
+            run_ascent(objective, constant_field(np.eye(3)), None, np.zeros(2), 3, 1e-2)
+
     def test_cost_evaluated_once_per_step(self):
         base = spherical_budget(1.0)
         calls = []
@@ -375,6 +407,38 @@ def _trajectory(record):
     numbers = [(row.objective_value, row.cost_value or 0.0, row.first_order_gain,
                 row.step_size) for row in record.steps]
     return record.status, points.tobytes(), np.array(numbers).tobytes()
+
+
+class TestLoggedStepsMatchThePublicDirection:
+    @settings(max_examples=30)
+    @given(
+        st.integers(2, 6), st.sampled_from(["constant", "mask", "budget"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_reproduces_optimal_direction_bit_for_bit(self, dim, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "mask":
+            field = mask_field((rng.random(dim) < 0.7).astype(float))
+        else:
+            field = constant_field(random_psd(rng, dim, int(rng.integers(1, dim + 1))))
+        center = 0.1 * rng.standard_normal(dim)
+        budget = spherical_budget(0.5, center=center) if kind == "budget" else None
+        objective = quadratic_objective(
+            random_psd(rng, dim, dim, 0.5, 2.0), 3.0 * rng.standard_normal(dim)
+        )
+        record = run_ascent(objective, field, budget, center, 50, 0.05)
+        following = [row.point for row in record.steps[1:]] + [record.final_point]
+        for row, after in zip(record.steps, following):
+            normal = budget.cost_gradient(row.point) if row.budget_active else None
+            result = optimal_direction(field(row.point), objective.gradient(row.point), normal)
+            assert result.kind is row.kind
+            gain = np.float64(result.first_order_gain).tobytes()
+            assert gain == np.float64(row.first_order_gain).tobytes()
+            if row.step_size:
+                after_step = row.point + row.step_size * result.direction
+                assert after_step.tobytes() == after.tobytes()
+            else:
+                assert row.point.tobytes() == after.tobytes()
 
 
 class TestWarmStartedAscent:

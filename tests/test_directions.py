@@ -39,6 +39,26 @@ class TestOptimalDirection:
         assert result.kind is DirectionKind.OPTIMAL
         assert abs(result.direction[0] / result.direction[1] - 1.0) <= 1e-15
 
+    def test_subnormal_eigenvalues_are_degenerate_without_a_warning(self):
+        # c / lambda overflows on 1e-309 * I; the suite turns RuntimeWarning into an error.
+        op = ConstraintOperator(1e-309 * np.eye(2))
+        for normal in (None, [1.0, 1.0]):
+            result = optimal_direction(op, [1.0, 0.0], normal)
+            assert result.kind is DirectionKind.DEGENERATE
+            assert result.weighted_gradient_norm == np.inf
+        assert optimal_direction(op, [0.0, 0.0]).weighted_gradient_norm == 0.0
+
+    def test_eigenvalues_near_the_top_of_the_range_keep_the_direction(self):
+        # lambda * c passes the float range in the degeneracy test without a warning.
+        axis = np.ones(6) / np.sqrt(6.0)
+        v = np.eye(6)[0] - axis
+        reflect = np.eye(6) - 2.0 * np.outer(v, v) / (v @ v)  # its first column is the axis
+        values = np.array([8.0, 7.0, 6.0, 5.0, 4.0, 3.0]) * 1e307
+        op = ConstraintOperator((reflect * values) @ reflect.T)
+        result = optimal_direction(op, np.full(6, 0.99))
+        assert result.kind is DirectionKind.OPTIMAL
+        assert np.allclose(result.direction, axis / np.sqrt(8e307), rtol=1e-12, atol=0.0)
+
     def test_zero_gradient_is_degenerate(self):
         op = ConstraintOperator(np.eye(3))
         assert optimal_direction(op, np.zeros(3)).kind is DirectionKind.DEGENERATE

@@ -45,6 +45,16 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_rejects_entries_too_large_to_symmetrize(self):
+        # Each diagonal entry doubles past the float range in A + A.T.
+        with pytest.raises(ValueError, match="too large to symmetrize"):
+            decompose(np.ldexp(np.ones((2, 2)), 1023))
+
+    def test_huge_pair_that_cancels_and_subnormals_keep_their_bits(self):
+        half = np.ldexp(1.0, 1023)
+        mat = SymmetricMatrix([[5e-324, half], [-half, 1e-310]])
+        assert mat.entries.tobytes() == np.array([[5e-324, 0.0], [0.0, 1e-310]]).tobytes()
+
 
 class TestDecompose:
     def test_identity(self):

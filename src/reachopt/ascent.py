@@ -147,13 +147,6 @@ def _is_active(budget: BudgetConstraint, cost_value: float) -> bool:
     return (budget.kappa - cost_value) < ACTIVATION_TOLERANCE * max(1.0, budget.kappa)
 
 
-def _is_finite(vector: np.ndarray, shape: tuple, name: str) -> bool:
-    """Whether ``vector`` is finite; a shape other than the point's raises first."""
-    if vector.shape != shape:
-        raise DimensionMismatchError(f"{name} of shape {vector.shape} does not match {shape}")
-    return all(map(math.isfinite, vector.tolist()))
-
-
 def run_ascent(
     objective: Objective,
     operator_field: OperatorField,
@@ -169,8 +162,9 @@ def run_ascent(
     ``BACKTRACK_LIMIT`` halvings of the step cannot keep the cost under the
     cap, and ``"non-finite"`` when a callback returns a non-finite value. A
     gradient, or a cost gradient where the budget is active, of another shape
-    than the point raises ``DimensionMismatchError``; a non-finite one stops
-    the run at that iterate without logging or leaving it; a
+    than the point raises ``DimensionMismatchError``, as does an operator of
+    another dimension; a non-finite one stops the run at that iterate
+    without logging or leaving it, after the field has been called there; a
     non-finite cost or objective at a candidate stops it at the current
     iterate, logged with step size 0, so no logged row or final field holds
     a non-finite value. A step size ``eta`` that is not positive and finite,
@@ -212,16 +206,21 @@ def run_ascent(
     status = "completed"
     with _warm_starts() as near:
         for index in range(steps):
-            grad = np.asarray(objective.gradient(theta), dtype=float)
+            grad = objective.gradient(theta)
             active = budget is not None and _is_active(budget, cost_value)
-            normal = np.asarray(budget.cost_gradient(theta), dtype=float) if active else None
-            if not (_is_finite(grad, theta.shape, "gradient")
-                    and (normal is None or _is_finite(normal, theta.shape, "cost gradient"))):
+            normal = budget.cost_gradient(theta) if active else None
+            operator = operator_field(theta)
+            if theta.shape != (operator.dim,):
+                raise DimensionMismatchError(
+                    f"operator of dimension {operator.dim} does not match point {theta.shape}")
+            near[0] = operator.spectrum.eigenvectors
+            try:  # the solve checks each vector once, for its shape, then finiteness
+                result = optimal_direction(operator, grad, normal)
+            except DimensionMismatchError:
+                raise
+            except ValueError:
                 status = "non-finite"
                 break
-            operator = operator_field(theta)
-            near[0] = operator.spectrum.eigenvectors
-            result = optimal_direction(operator, grad, normal)
 
             step_size, next_theta, next_cost = 0.0, None, None
             if result.kind is DirectionKind.DEGENERATE:

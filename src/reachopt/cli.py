@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -85,6 +86,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_phi_curve(args) -> int:
+    if not math.isfinite(args.gamma_max):
+        raise ValueError(f"--gamma-max must be finite, got {args.gamma_max!r}")
     family = io.load_cone_family(args.cones)
     grid = np.linspace(0.0, args.gamma_max, args.steps)
     curve = phi_curve(family, grid, args.samples, args.seed)

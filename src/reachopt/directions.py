@@ -14,7 +14,6 @@ when ``operator.project_onto_image(d)`` returns d and ``operator.effort(d)`` is 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from operator import mul
@@ -53,8 +52,8 @@ class DirectionResult:
 
 def _scaled_coefficients(basis: np.ndarray, top: float, vector: np.ndarray):
     """(c, e, level): c = U_r'v / 2^e, 2^e the power of two of max|v_i|, so the
-    division is exact; level is the degeneracy bar of v / 2^e, for the largest
-    eigenvalue ``top``."""
+    division is exact; level is the degeneracy bar of v / 2^e, for the scaled
+    largest eigenvalue ``top``."""
     # A Python max over the list costs less than numpy calls at ascent sizes.
     exponent = math.frexp(max(map(abs, vector.tolist())))[1]
     unit = np.ldexp(vector, -exponent)
@@ -64,7 +63,6 @@ def _scaled_coefficients(basis: np.ndarray, top: float, vector: np.ndarray):
 
 def _reaches(values: np.ndarray, coeffs: np.ndarray, level: float) -> bool:
     """The one degeneracy rule: the operator action |lambda * c| exceeds ``level``."""
-    # hypot scales internally, and a Python product past the float range is inf, unwarned.
     return math.hypot(*map(mul, values.tolist(), coeffs.tolist())) > level
 
 
@@ -77,10 +75,11 @@ def optimal_direction(
     nonzero at the relative level ``DEGENERACY_FACTOR``; otherwise the
     gradient is (numerically) a kernel direction and the degenerate branch
     applies: every reachable direction has zero first-order payoff. The
-    gradient is first divided by the power of two of its largest entry, which
-    is exact, so every finite gradient is solved at the scale of one; a
-    result whose effort norm leaves the floating-point range is degenerate
-    with an infinite ``weighted_gradient_norm``.
+    gradient is divided by the power of two of its largest entry and the
+    operator by the even power of two 4^h of its largest eigenvalue, which is
+    exact, so every solve runs at the scale of one and the verdict depends on
+    neither scale; a result whose effort norm leaves the floating-point range
+    is degenerate with a ``weighted_gradient_norm`` of inf (0 on underflow).
 
     With a ``normal`` n (a cost gradient at an active budget), the direction
     is restricted to the halfspace n . d <= 0. Where the free direction
@@ -97,30 +96,25 @@ def optimal_direction(
     grad = _as_vector(gradient, operator.dim, "gradient")
     if normal is not None:
         normal = _as_vector(normal, operator.dim, "normal")
-    values, basis, top, tiny = operator._modes
-    try:
-        # On tiny eigenvalues an overflow of c / lambda means the effort leaves the range.
-        with np.errstate(over="raise") if tiny else nullcontext():
-            coeffs, exponent, level = _scaled_coefficients(basis, top, grad)
-            if normal is not None:
-                normal_coeffs, _, normal_level = _scaled_coefficients(basis, top, normal)
-                outward = float(normal_coeffs.dot(coeffs / values))
-                if (outward > 0.0 and _reaches(values, coeffs, level)
-                        and _reaches(values, normal_coeffs, normal_level)):
-                    mu = outward / float(normal_coeffs.dot(normal_coeffs / values))
-                    coeffs = coeffs - mu * normal_coeffs
-            # The operator action |lambda * c|, the pseudoinverse action U_r (c / lambda)
-            # and its effort c . (c / lambda) all come from c; dividing by the root of
-            # the effort leaves unit effort by construction.
-            scaled = coeffs / values
-            root = math.sqrt(coeffs.dot(scaled))
-    except FloatingPointError:
-        return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, math.inf)
-    in_range = math.frexp(root)[1] + exponent <= 1024
-    weighted_norm = math.ldexp(root, exponent) if in_range else math.inf
+    values, basis, top, half = operator._modes
+    coeffs, exponent, level = _scaled_coefficients(basis, top, grad)
+    if normal is not None:
+        normal_coeffs, _, normal_level = _scaled_coefficients(basis, top, normal)
+        outward = float(normal_coeffs.dot(coeffs / values))
+        if (outward > 0.0 and _reaches(values, coeffs, level)
+                and _reaches(values, normal_coeffs, normal_level)):
+            mu = outward / float(normal_coeffs.dot(normal_coeffs / values))
+            coeffs = coeffs - mu * normal_coeffs
+    # The operator action |lambda * c|, the pseudoinverse action U_r (c / lambda) and its
+    # effort c . (c / lambda) all come from c at the scale of one; dividing by root * 2^h
+    # leaves unit effort under the unscaled operator, where g has norm root * 2^(e - h).
+    scaled = coeffs / values
+    root = math.sqrt(coeffs.dot(scaled))
+    in_range = math.frexp(root)[1] + exponent - half <= 1024
+    weighted_norm = math.ldexp(root, exponent - half) if in_range else math.inf
     if not (_reaches(values, coeffs, level) and 0.0 < weighted_norm < math.inf):
         return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm)
-    direction = basis.dot(scaled / root)
+    direction = basis.dot(scaled / math.ldexp(root, half))
     direction.setflags(write=False)
     gain = float(grad.dot(direction))
     return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm)
@@ -135,11 +129,10 @@ def sample_unit_effort(operator: ConstraintOperator, count: int, rng=None) -> np
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    values, basis, _, _ = operator._modes
+    values, basis, _, half = operator._modes
     if values.size == 0:
         raise DegenerateDirectionError("the zero operator admits no unit-effort directions")
     generator = np.random.default_rng(rng)
     coeff = generator.standard_normal((count, values.size))
     efforts = (coeff * coeff) @ values
-    efforts = np.maximum(efforts, np.finfo(float).tiny)
-    return (coeff / np.sqrt(efforts)[:, None]) @ basis.T
+    return np.ldexp((coeff / np.sqrt(efforts)[:, None]) @ basis.T, -half)

@@ -108,8 +108,8 @@ def smallest_k_for_error(decomposition: SpectralDecomposition, eps: float) -> in
     Monotone nonincreasing in ``eps``; returns the full rank when no proper
     truncation meets the bound.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     rank = decomposition.rank
     for k in range(rank):
         if 1.0 / float(decomposition.eigenvalues[rank - k - 1]) <= eps:

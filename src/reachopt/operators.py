@@ -48,10 +48,12 @@ class ConstraintOperator:
             start = None
         self._matrix = sym
         self._spectrum = spectrum = decompose(sym, start=start)
-        # (lambda_r, U_r, lambda_max, tiny) for direction solves; tiny: c / lambda can overflow.
+        # (lambda_r / 4^h, U_r, lambda_max / 4^h, h) for direction solves, with 4^h the
+        # even power of two of lambda_max: the division is exact and keeps sqrt exact.
         values, rank = spectrum.eigenvalues, spectrum.rank
-        tiny = rank > 0 and not math.isfinite(sym.dim / float(values[rank - 1]))
-        self._modes = (values[:rank], spectrum.eigenvectors[:, :rank], float(values[0]), tiny)
+        half = math.frexp(values[0])[1] // 2
+        self._modes = (np.ldexp(values[:rank], -2 * half), spectrum.eigenvectors[:, :rank],
+                       math.ldexp(values[0], -2 * half), half)
 
     @property
     def matrix(self) -> SymmetricMatrix:
@@ -72,7 +74,7 @@ class ConstraintOperator:
     @property
     def operator_norm(self) -> float:
         """Largest eigenvalue (zero for the zero operator)."""
-        return self._modes[2]
+        return float(self._spectrum.eigenvalues[0])
 
     def project_onto_image(self, vector) -> np.ndarray:
         return self._spectrum.project_onto_image(vector)

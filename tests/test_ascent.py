@@ -354,6 +354,26 @@ class TestRunAscent:
         with pytest.raises(DimensionMismatchError):
             run_ascent(objective, constant_field(np.eye(3)), None, np.zeros(2), 3, 1e-2)
 
+    def test_field_and_gradient_of_another_dimension_than_the_point_raise(self):
+        # A gradient that matches the field but not a one-entry point would broadcast it.
+        objective = Objective(lambda point: float(point[0]), lambda point: np.ones(2))
+        with pytest.raises(DimensionMismatchError, match="point"):
+            run_ascent(objective, constant_field(np.eye(2)), None, np.zeros(1), 3, 1e-2)
+
+    def test_field_is_called_at_the_non_finite_iterate(self):
+        # The solve is the one check of the gradient, so the field runs before the stop.
+        points = []
+
+        def field(point):
+            points.append(point.copy())
+            return operator
+
+        operator = constant_field(np.eye(2))(None)
+        objective = Objective(lambda point: 0.0, lambda point: np.array([np.inf, 0.0]))
+        record = run_ascent(objective, field, None, np.zeros(2), 5, 1e-2)
+        assert record.status == "non-finite" and record.steps == []
+        assert len(points) == 1 and np.array_equal(points[0], [0.0, 0.0])
+
     def test_cost_evaluated_once_per_step(self):
         base = spherical_budget(1.0)
         calls = []

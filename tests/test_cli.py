@@ -132,6 +132,14 @@ class TestCompressCommand:
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] == 0.0
 
+    def test_nan_eps_fails_cleanly(self, matrix_file, gradient_file, capsys):
+        assert main(
+            ["compress", "--operator", matrix_file, "--gradient", gradient_file, "--eps", "nan"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eps must be positive" in captured.err
+
 
 class TestThresholdCommand:
     def test_two_cone_threshold(self, cones_file, capsys):
@@ -183,6 +191,19 @@ class TestPhiCurveCommand:
         assert len(lines) == 6
         estimates = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b >= a for a, b in zip(estimates, estimates[1:]))
+
+    @pytest.mark.parametrize("gamma_max", ["inf", "-inf"])
+    def test_infinite_gamma_max_fails_cleanly(self, cones_file, gamma_max, capsys):
+        # Rejected before the grid is built: np.linspace warns on an infinite end.
+        assert main(
+            [
+                "phi-curve", "--cones", cones_file, f"--gamma-max={gamma_max}",
+                "--steps", "3", "--samples", "100", "--seed", "1",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--gamma-max must be finite" in captured.err
 
 
 @pytest.mark.parametrize(

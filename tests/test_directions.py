@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reachopt import (
@@ -12,8 +14,24 @@ from reachopt import (
     sample_unit_effort,
     truncate,
 )
-from conftest import random_mild_psd, random_psd
+from conftest import random_mild_psd, random_psd, rank_deficient_psd
 from oracles import angle_between
+
+
+@st.composite
+def direction_problems(draw):
+    """(A, g, n): a rank-deficient PSD operator, a gradient and an optional normal."""
+    matrix, _ = draw(rank_deficient_psd())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gradient = rng.standard_normal(matrix.shape[0])
+    normal = rng.standard_normal(matrix.shape[0]) if draw(st.booleans()) else None
+    return matrix, gradient, normal
+
+
+def exponents(values) -> np.ndarray:
+    """Binary exponents (as ``frexp`` gives them) of the nonzero entries."""
+    values = np.asarray(values, dtype=float)
+    return np.frexp(np.abs(values[values != 0.0]))[1]
 
 
 class TestOptimalDirection:
@@ -39,13 +57,19 @@ class TestOptimalDirection:
         assert result.kind is DirectionKind.OPTIMAL
         assert abs(result.direction[0] / result.direction[1] - 1.0) <= 1e-15
 
-    def test_subnormal_eigenvalues_are_degenerate_without_a_warning(self):
-        # c / lambda overflows on 1e-309 * I; the suite turns RuntimeWarning into an error.
+    def test_subnormal_eigenvalues_keep_the_optimum(self):
+        # The operator is solved at the scale of one, so c / lambda cannot overflow;
+        # the suite turns RuntimeWarning into an error. The normal points away from
+        # e1, so it leaves the free direction e1 / sqrt(lambda) and gain |g| / sqrt(lambda).
         op = ConstraintOperator(1e-309 * np.eye(2))
-        for normal in (None, [1.0, 1.0]):
-            result = optimal_direction(op, [1.0, 0.0], normal)
-            assert result.kind is DirectionKind.DEGENERATE
-            assert result.weighted_gradient_norm == np.inf
+        root = np.sqrt(1e-309)
+        for size in (1.0, 1e-300):
+            for normal in (None, [-1.0, 1.0]):
+                result = optimal_direction(op, [size, 0.0], normal)
+                assert result.kind is DirectionKind.OPTIMAL
+                assert np.allclose(result.direction, [1.0 / root, 0.0], rtol=1e-12, atol=0.0)
+                assert result.first_order_gain == pytest.approx(size / root, rel=1e-12)
+                assert result.weighted_gradient_norm == pytest.approx(size / root, rel=1e-12)
         assert optimal_direction(op, [0.0, 0.0]).weighted_gradient_norm == 0.0
 
     def test_eigenvalues_near_the_top_of_the_range_keep_the_direction(self):
@@ -129,6 +153,41 @@ class TestOptimalDirection:
         assert scaled.weighted_gradient_norm == pytest.approx(
             scale * base.weighted_gradient_norm, rel=1e-12
         )
+
+    @settings(max_examples=80)
+    @given(problem=direction_problems(), half=st.integers(-540, 540))
+    @example(  # diag(1e300, 0) with a normal whose effort underflowed
+        problem=(np.ldexp(np.diag([1e300, 0.0]), -996), [1.0, 0.0], [2e-12, 1.0]), half=498
+    )
+    @example(
+        problem=(np.ldexp(np.diag([1e300, 0.0]), -996), [1.0, 0.0], [2e-11, 1.0]), half=498
+    )
+    @example(  # 1e-309 * I, whose c / lambda overflowed
+        problem=(np.ldexp(1e-309 * np.eye(2), 1026), [1e-300, 0.0], None), half=-513
+    )
+    def test_operator_scale_moves_the_result_by_an_exact_power_of_two(self, problem, half):
+        # d ~ A+g: scaling A by 4^h scales the direction and its norm by 2^-h and
+        # changes nothing else, bit for bit, wherever the scaled values are floats.
+        matrix, gradient, normal = problem
+        assume(exponents(matrix).max() + 2 * half < 1024)  # the symmetrizing sum stays finite
+        scaled_matrix = np.ldexp(matrix, 2 * half)
+        assume(np.array_equal(np.ldexp(scaled_matrix, -2 * half), matrix))
+        base = optimal_direction(ConstraintOperator(matrix), gradient, normal)
+        norm = base.weighted_gradient_norm
+        assume(norm == 0.0 or (norm < math.inf and -1021 <= math.frexp(norm)[1] - half <= 1024))
+        if base.direction is not None:
+            # 64 bits of headroom keep the products inside U_r (c / lambda) normal too.
+            moved = exponents(base.direction) - half
+            assume(moved.max() <= 1024 and moved.min() >= -1021 + 64)
+        scaled = optimal_direction(ConstraintOperator(scaled_matrix), gradient, normal)
+        assert scaled.kind is base.kind
+        assert (np.float64(scaled.weighted_gradient_norm).tobytes()
+                == np.ldexp(base.weighted_gradient_norm, -half).tobytes())
+        if base.direction is None:
+            assert scaled.direction is None and scaled.first_order_gain == 0.0
+        else:
+            assert scaled.direction.tobytes() == np.ldexp(base.direction, -half).tobytes()
+            assert scaled.first_order_gain == math.ldexp(base.first_order_gain, -half)
 
     def test_huge_eigenvalue_spread_keeps_the_direction(self):
         # The rank cut drops the unit mode; the direction has effort

@@ -199,6 +199,11 @@ class TestSmallestKForError:
         with pytest.raises(ValueError):
             smallest_k_for_error(spectrum_421, 0.0)
 
+    def test_rejects_nan_eps(self, spectrum_421):
+        # Every comparison with NaN is false, so NaN would pass a test for eps <= 0.
+        with pytest.raises(ValueError, match="eps must be positive"):
+            smallest_k_for_error(spectrum_421, float("nan"))
+
 
 class TestOperatorIntegration:
     def test_kernel_of_operator_spectrum(self, rng):

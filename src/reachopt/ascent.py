@@ -22,7 +22,7 @@ import numpy as np
 from .directions import DirectionKind, optimal_direction
 from .errors import DimensionMismatchError, InfeasibleStartError
 from .operators import OperatorField, _warm_starts
-from .spectral import SymmetricMatrix
+from .spectral import SymmetricMatrix, _as_vector
 
 #: The budget counts as active when kappa - C(point) drops below this.
 ACTIVATION_TOLERANCE = 1e-8
@@ -44,9 +44,7 @@ class Objective:
 def quadratic_objective(matrix, linear) -> Objective:
     """Concave quadratic payoff ``-0.5 x'Qx + b'x`` with gradient ``-Qx + b``."""
     quad = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
-    offset = np.asarray(linear, dtype=float)
-    if offset.shape != (quad.dim,):
-        raise ValueError("linear term does not match the quadratic dimension")
+    offset = _as_vector(linear, quad.dim, "linear")
 
     entries = quad.entries  # products stay `@`: at n = 1, `.dot` can give -0.0 for 0.0
 
@@ -64,6 +62,8 @@ def quadratic_objective(matrix, linear) -> Objective:
 def rosenbrock_objective(scale: float = 100.0) -> Objective:
     """Negated 2-d Rosenbrock valley, so that ascent targets the maximum at (1, 1)."""
     scale = float(scale)
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
 
     def evaluate(point: np.ndarray) -> float:
         x, y = float(point[0]), float(point[1])

@@ -41,10 +41,13 @@ _RANK_TOLERANCE = 1e-9
 
 
 def _unit(vector: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
+    top = float(np.max(np.abs(vector)))
+    if top == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return vector / norm
+    # Dividing by the power of two of the largest entry first is exact, and keeps
+    # the norm from overflowing or underflowing.
+    vector = np.ldexp(vector, -math.frexp(top)[1])
+    return vector / float(np.linalg.norm(vector))
 
 
 def _violations(points: np.ndarray, axes: np.ndarray, half_angles: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 Each JSON object goes to one function as keyword arguments: a ``"kind"``
 object to the builder its kind names, any other to a private reader. The
 parameter names are the format, their defaults its defaults, and an unknown
-or missing key raises ``ValueError`` naming the key.
+or missing key raises ``ValueError`` naming the key. Apart from ``"kind"`` and
+the trace path ``"out"``, every value holds numbers, objects or nulls: a string
+or boolean raises too, although ``float`` would read ``"1"`` and ``true`` as 1.
 """
 
 from __future__ import annotations
@@ -40,14 +42,28 @@ def _names_file(load):
     return checked
 
 
+def _numbers(value, key: str) -> None:
+    """Raise ``ValueError`` naming ``key`` if ``value`` holds a JSON string or boolean."""
+    if type(value) in (str, bool):
+        raise ValueError(f"{key}: expected a number, got {json.dumps(value)}")
+    # A row of plain numbers, the common case, needs no call per entry.
+    if type(value) is list and not {float, int}.issuperset(map(type, value)):
+        for item in value:
+            _numbers(item, key)
+
+
 def _call(builder, arguments, what: str):
-    """``builder(**arguments)``, raising an unknown or missing key as ``ValueError``."""
+    """``builder(**arguments)``, raising an unknown or missing key, or a string or
+    boolean where only numbers belong, as ``ValueError`` naming the key."""
     if not isinstance(arguments, dict):
         raise ValueError(f"{what}: expected a JSON object")
     try:
         inspect.signature(builder).bind(**arguments)
     except TypeError as exc:
         raise ValueError(f"{what}: {exc}") from None
+    for key, value in arguments.items():
+        if key != "out":  # the trace path is the one text value
+            _numbers(value, key)
     return builder(**arguments)
 
 
@@ -150,6 +166,7 @@ def load_vector(path) -> np.ndarray:
     """Read a plain JSON array of finite numbers."""
     with open(path) as handle:
         payload = json.load(handle)
+    _numbers(payload, "array")
     vec = np.asarray(payload, dtype=float)
     if vec.ndim != 1:
         raise ValueError("expected a flat JSON array")

@@ -5,7 +5,8 @@ i.e. the modes belonging to the smallest positive eigenvalues, and drops the
 rest. This is the best rank-k approximation of the pseudoinverse in the
 operator norm, and the attached error certificate is exact: the reciprocal of
 the smallest omitted eigenvalue equals the largest singular value of the
-difference from the full pseudoinverse.
+difference from the full pseudoinverse. A kernel is a view of k and the
+spectrum: truncating builds no matrix, and the dense one is built when read.
 
 Applying a kernel instead of the full pseudoinverse leaves a residual whose
 squared norm decomposes exactly over the omitted modes; the per-mode terms
@@ -14,16 +15,12 @@ are retained for diagnostics.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    SpectralDecomposition,
-    SymmetricMatrix,
-    _as_vector,
-    reciprocal_outer_sum,
-)
+from .spectral import SpectralDecomposition, SymmetricMatrix, _as_vector, _reciprocal_outer_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +41,34 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class RuleKernel:
-    """Rank-k truncation of the pseudoinverse.
+    """Rank-k truncation of the pseudoinverse, held as a view of its spectrum.
 
-    ``op_error`` is the operator-norm distance to the full pseudoinverse:
-    the reciprocal of the smallest omitted eigenvalue, or zero when nothing
-    is omitted.
+    ``k`` must be an integer in [0, rank]; it is checked, and stored as a
+    Python ``int``, when the kernel is made. Nothing else is stored: the
+    error certificate and the dense matrix are computed when read.
     """
 
     k: int
-    kernel_matrix: SymmetricMatrix
-    op_error: float
     source_spectrum: SpectralDecomposition
+
+    def __post_init__(self) -> None:
+        k, rank = operator.index(self.k), self.source_spectrum.rank
+        if not 0 <= k <= rank:
+            raise ValueError(f"truncation rank must lie in [0, rank={rank}], got {k}")
+        object.__setattr__(self, "k", k)
+
+    @property
+    def op_error(self) -> float:
+        """Operator-norm distance to the full pseudoinverse; zero when nothing is omitted."""
+        # The smallest omitted eigenvalue carries the largest omitted weight.
+        split = self.source_spectrum.rank - self.k
+        return 1.0 / float(self.source_spectrum.eigenvalues[split - 1]) if split else 0.0
+
+    @property
+    def kernel_matrix(self) -> SymmetricMatrix:
+        """Dense kernel, ``(1/lambda) u u^T`` summed over the kept modes; built on each read."""
+        rank = self.source_spectrum.rank
+        return SymmetricMatrix(_reciprocal_outer_sum(self.source_spectrum, rank - self.k, rank))
 
     def apply_with_residual(self, gradient) -> tuple[np.ndarray, ResidualReport]:
         """Apply the kernel and report exactly what the truncation dropped.
@@ -79,27 +93,14 @@ class RuleKernel:
 
 
 def truncate(decomposition: SpectralDecomposition, k: int) -> RuleKernel:
-    """Build the rank-k rule kernel of a decomposition.
+    """The rank-k rule kernel of a decomposition.
 
     ``k`` may range from 0 (zero kernel) to the rank (full pseudoinverse,
     reproduced exactly). The kept modes are those with the largest
-    pseudoinverse weights.
+    pseudoinverse weights. A ``k`` out of range raises ``ValueError``, one that
+    is not an integer ``TypeError``.
     """
-    rank = decomposition.rank
-    if not 0 <= k <= rank:
-        raise ValueError(f"truncation rank must lie in [0, rank={rank}], got {k}")
-    kernel_matrix = SymmetricMatrix(reciprocal_outer_sum(decomposition, rank - k, rank))
-    if k == rank:
-        op_error = 0.0
-    else:
-        # The smallest omitted eigenvalue carries the largest omitted weight.
-        op_error = 1.0 / float(decomposition.eigenvalues[rank - k - 1])
-    return RuleKernel(
-        k=k,
-        kernel_matrix=kernel_matrix,
-        op_error=op_error,
-        source_spectrum=decomposition,
-    )
+    return RuleKernel(k, decomposition)
 
 
 def smallest_k_for_error(decomposition: SpectralDecomposition, eps: float) -> int:
@@ -110,8 +111,6 @@ def smallest_k_for_error(decomposition: SpectralDecomposition, eps: float) -> in
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    rank = decomposition.rank
-    for k in range(rank):
-        if 1.0 / float(decomposition.eigenvalues[rank - k - 1]) <= eps:
-            return k
-    return rank
+    # The full rank has error 0, so some k always qualifies.
+    kernels = (RuleKernel(k, decomposition) for k in range(decomposition.rank + 1))
+    return next(kernel.k for kernel in kernels if kernel.op_error <= eps)

@@ -131,7 +131,7 @@ class SpectralDecomposition:
         Each retained mode contributes its reciprocal eigenvalue; the kernel
         contributes nothing, so a rank-0 decomposition yields the zero matrix.
         """
-        return SymmetricMatrix(reciprocal_outer_sum(self, 0, self.rank))
+        return SymmetricMatrix(_reciprocal_outer_sum(self, 0, self.rank))
 
     def project_onto_image(self, vector) -> np.ndarray:
         """Orthogonal projection onto the span of the retained eigenvectors."""
@@ -140,23 +140,15 @@ class SpectralDecomposition:
         return basis @ (basis.T @ vec)
 
 
-def reciprocal_outer_sum(
-    decomposition: SpectralDecomposition, start: int, stop: int
-) -> np.ndarray:
+def _reciprocal_outer_sum(spectrum: SpectralDecomposition, start: int, stop: int) -> np.ndarray:
     """Sum of ``(1/eigenvalue) * u u^T`` over storage indices ``[start, stop)``.
 
-    Only positive modes (indices below the rank) are valid. Shared by the
-    full pseudoinverse (``[0, rank)``) and its rank-k truncations
-    (``[rank - k, rank)``), so that the untruncated case reproduces the
-    pseudoinverse bit for bit.
+    Callers pass positive modes only: the full pseudoinverse ``[0, rank)`` and
+    its rank-k truncations ``[rank - k, rank)``, so that the untruncated case
+    reproduces the pseudoinverse bit for bit.
     """
-    if not 0 <= start <= stop <= decomposition.rank:
-        raise ValueError(
-            f"mode range [{start}, {stop}) must lie within "
-            f"[0, rank={decomposition.rank}]"
-        )
-    basis = decomposition.eigenvectors[:, start:stop]
-    weighted = basis / decomposition.eigenvalues[start:stop]
+    basis = spectrum.eigenvectors[:, start:stop]
+    weighted = basis / spectrum.eigenvalues[start:stop]
     return weighted @ basis.T
 
 

@@ -60,6 +60,15 @@ def test_operator_and_kernel_calls():
     compressed, report = kernel.apply_with_residual(gradient)
     assert compressed.shape == (4,)
     assert report.residual_norm_sq == sum(term for _, term in report.per_mode_contributions)
+    # The truncation sweep of operator-scan and cli-files, in its exact form.
+    sweep = []
+    for k in range(spectrum.rank + 1):
+        kernel = ro.truncate(spectrum, k)
+        compressed, report = kernel.apply_with_residual(gradient)
+        sweep.append((kernel.op_error, compressed, report.residual_norm_sq))
+    assert [op_error for op_error, _, _ in sweep] == [1.0, 0.5, 0.25, 0.0]
+    assert all(compressed.shape == (4,) for _, compressed, _ in sweep)
+    assert [residual for _, _, residual in sweep] == [0.5625, 0.3125, 0.0625, 0.0]
 
 
 def test_cone_calls():

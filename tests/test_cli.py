@@ -96,6 +96,27 @@ class TestDirectionCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "g.json" in captured.err
 
+    @pytest.mark.parametrize(
+        "name, payload, key",
+        [
+            ("g.json", ["1", "0.5"], "array"),
+            ("g.json", [True, False], "array"),
+            ("op.json", {"dim": 2, "entries": [["2", "0"], ["0", "1"]]}, "entries"),
+        ],
+        ids=["string-gradient", "boolean-gradient", "string-entries"],
+    )
+    def test_non_number_input_fails_naming_file_and_key(
+        self, name, payload, key, matrix_file, gradient_file, tmp_path, capsys
+    ):
+        # Strings and booleans are not numbers, though float() would take "1" and true.
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        files = {"g.json": [matrix_file, str(path)], "op.json": [str(path), gradient_file]}[name]
+        assert main(["direction", "--operator", files[0], "--gradient", files[1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {key}: expected a number")
+
 
 class TestCompressCommand:
     def test_fixed_k(self, matrix_file, gradient_file, capsys):
@@ -166,8 +187,10 @@ class TestThresholdCommand:
         [
             {"axis": [1.0, 0.0, 0.0], "half_angle_deg": math.nan},
             {"axis": [math.inf, 0.0, 0.0], "half_angle_deg": 20.0},
+            {"axis": ["1", "0", "0"], "half_angle_deg": 20.0},
+            {"axis": [1.0, 0.0, 0.0], "half_angle_deg": "10"},
         ],
-        ids=["nan-half-angle", "infinite-axis"],
+        ids=["nan-half-angle", "infinite-axis", "string-axis", "string-half-angle"],
     )
     def test_non_finite_cone_fails_cleanly(self, cone, tmp_path, capsys):
         cones = tmp_path / "cones.json"
@@ -368,8 +391,16 @@ def test_unknown_key_fails_naming_file_and_key(command, payload, key, gradient_f
         {"budget": {"kind": "sphere", "kappa": math.nan}},
         {"budget": {"kind": "sphere", "kappa": math.inf}},
         {"steps": 2.5},
+        {"objective": {"kind": "quadratic", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                       "linear": [math.inf, 0.0]}},
+        {"objective": {"kind": "rosenbrock", "scale": math.inf}},
+        {"steps": "3"},
+        {"steps": True},
+        {"eta": "0.01"},
+        {"theta0": ["0", "0"]},
     ],
-    ids=["nan-kappa", "infinite-kappa", "fractional-steps"],
+    ids=["nan-kappa", "infinite-kappa", "fractional-steps", "infinite-linear",
+         "infinite-scale", "string-steps", "boolean-steps", "string-eta", "string-theta0"],
 )
 def test_bad_run_value_fails_naming_file(changes, tmp_path, capsys):
     path = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,29 @@ class TestCircularCone:
         made = CircularCone(np.array([3.0, 4.0]), 0.5)
         assert np.allclose(made.axis, [0.6, 0.8])
         assert abs(np.linalg.norm(made.axis) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "axis, unit",
+        [
+            ([1e308, 1e308], [math.sqrt(0.5), math.sqrt(0.5)]),
+            ([1e-320, 5e-321], [2.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0)]),
+        ],
+        ids=["huge", "subnormal"],
+    )
+    def test_axis_of_any_finite_scale_is_normalized(self, axis, unit):
+        # The norm of the raw axis overflows or underflows; the axis must not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            made = CircularCone(np.array(axis), 0.1)
+        assert np.allclose(made.axis, unit, rtol=1e-15, atol=0.0)
+        assert abs(np.linalg.norm(made.axis) - 1.0) <= 1e-15
+
+    def test_huge_vector_violation_matches_unit_scale(self):
+        family = CouplingFamily((cone([1.0, 0.0], 10.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = family.max_violation([1e308, 1e308], 0.0)
+        assert huge == family.max_violation([1.0, 1.0], 0.0)
 
     def test_rejects_zero_axis(self):
         with pytest.raises(ValueError):

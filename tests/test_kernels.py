@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import reachopt.kernels
 from reachopt import (
     ConstraintOperator,
     DimensionMismatchError,
+    RuleKernel,
     decompose,
     smallest_k_for_error,
     truncate,
@@ -45,6 +47,8 @@ class TestTruncate:
             truncate(spectrum_421, 4)
         with pytest.raises(ValueError):
             truncate(spectrum_421, -1)
+        with pytest.raises(TypeError):
+            truncate(spectrum_421, 1.5)
 
     def test_kernel_matrix_rank(self, rng):
         spectrum = decompose(random_psd(rng, 6, 4))
@@ -107,6 +111,39 @@ class TestTruncate:
         assert power_iteration_norm(difference) == pytest.approx(
             kernel.op_error, abs=1e-9
         )
+
+
+class TestRuleKernelView:
+    def test_truncate_builds_no_matrix(self, rng, monkeypatch):
+        calls = []
+        outer_sum = reachopt.kernels._reciprocal_outer_sum
+
+        def spy(*args):
+            calls.append(args[1:])
+            return outer_sum(*args)
+
+        monkeypatch.setattr(reachopt.kernels, "_reciprocal_outer_sum", spy)
+        spectrum = decompose(random_psd(rng, 6, 4))
+        gradient = rng.standard_normal(6)
+        for k in range(spectrum.rank + 1):
+            kernel = truncate(spectrum, k)
+            kernel.apply_with_residual(gradient)
+            assert kernel.op_error >= 0.0
+        assert smallest_k_for_error(spectrum, 1.0) <= spectrum.rank
+        assert calls == []
+        assert kernel.kernel_matrix.dim == 6
+        assert calls == [(0, spectrum.rank)]
+
+    def test_direct_construction_is_checked(self, spectrum_421):
+        with pytest.raises(ValueError, match="truncation rank"):
+            RuleKernel(4, spectrum_421)
+        with pytest.raises(TypeError):
+            RuleKernel(1.0, spectrum_421)
+
+    def test_k_is_stored_as_a_python_int(self, spectrum_421):
+        kernel = truncate(spectrum_421, np.int64(1))
+        assert type(kernel.k) is int and kernel.k == 1
+        assert kernel == RuleKernel(1, spectrum_421)
 
 
 class TestApplyWithResidual:

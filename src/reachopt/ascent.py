@@ -22,7 +22,7 @@ import numpy as np
 from .directions import DirectionKind, optimal_direction
 from .errors import DimensionMismatchError, InfeasibleStartError
 from .operators import OperatorField, _warm_starts
-from .spectral import SymmetricMatrix, _as_vector
+from .spectral import SymmetricMatrix, _as_count, _as_vector
 
 #: The budget counts as active when kappa - C(point) drops below this.
 ACTIVATION_TOLERANCE = 1e-8
@@ -97,12 +97,10 @@ class BudgetConstraint:
 def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
     """Squared-distance cost ``|x - center|^2`` under the cap ``kappa``.
 
-    A ``center`` that is not a finite 1-d sequence raises ``ValueError``, and a
-    point of another shape than ``center`` ``DimensionMismatchError``.
+    A ``center`` that is not a finite nonempty 1-d sequence raises ``ValueError``,
+    and a point of another shape than ``center`` ``DimensionMismatchError``.
     """
-    center_arr = None if center is None else np.asarray(center, dtype=float)
-    if center_arr is not None and not (center_arr.ndim == 1 and np.all(np.isfinite(center_arr))):
-        raise ValueError("center must be a 1-d sequence of finite numbers")
+    center_arr = None if center is None else _as_vector(center, None, "center")
 
     def shift(point: np.ndarray) -> np.ndarray:
         x = np.asarray(point, dtype=float)
@@ -167,12 +165,12 @@ def run_ascent(
     without logging or leaving it, after the field has been called there; a
     non-finite cost or objective at a candidate stops it at the current
     iterate, logged with step size 0, so no logged row or final field holds
-    a non-finite value. A step size ``eta`` that is not positive and finite,
-    a non-finite ``theta0``, or a non-finite objective or cost there raises
-    ``ValueError``, and a start outside the budget raises
-    ``InfeasibleStartError``. The objective and the cost are
-    evaluated once per point: an accepted candidate's values are logged at
-    the next step.
+    a non-finite value. A negative ``steps`` (``TypeError`` if not an integer),
+    an ``eta`` that is not positive and finite, a ``theta0`` that is not a
+    finite nonempty 1-d vector, or a non-finite objective or cost there raises
+    ``ValueError``, and a start outside the budget ``InfeasibleStartError``.
+    The objective and the cost are evaluated once per point: an accepted
+    candidate's values are logged at the next step.
 
     An operator built during the run, with the previous step's dimension,
     is decomposed with Jacobi started from the previous step's
@@ -182,13 +180,10 @@ def run_ascent(
     keep their cold bits; a field that caches operators it builds during a
     run carries that run's bits into later runs.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    steps = _as_count(steps, "steps", 0)
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
-    theta = np.array(theta0, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta0 entries must be finite")
+    theta = _as_vector(theta0, None, "theta0").copy()  # final_point must not alias theta0
     value = float(objective.evaluate(theta))
     if not math.isfinite(value):
         raise ValueError(f"objective at theta0 is not finite: {value!r}")

@@ -21,6 +21,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import InfeasibleAtMaxError
+from .spectral import _as_count, _as_vector
 
 HALF_PI = math.pi / 2.0
 
@@ -69,12 +70,9 @@ class CircularCone:
     half_angle: float
 
     def __post_init__(self) -> None:
-        axis = np.asarray(self.axis, dtype=float)
-        if axis.ndim != 1 or axis.size < 2:
-            raise ValueError("axis must be a 1-d vector of dimension at least 2")
-        if not np.all(np.isfinite(axis)):
-            raise ValueError("axis entries must be finite")
-        axis = _unit(axis)
+        axis = _unit(_as_vector(self.axis, None, "axis"))
+        if axis.size < 2:
+            raise ValueError("axis must have dimension at least 2")
         axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
         angle = float(self.half_angle)
@@ -124,8 +122,8 @@ class CouplingFamily:
         return np.minimum(base + gamma, HALF_PI)
 
     def max_violation(self, vector, gamma: float) -> float:
-        """Worst angular violation of a nonzero vector across enlarged cones."""
-        point = _unit(np.asarray(vector, dtype=float))
+        """Worst angular violation of a finite nonzero ``(dim,)`` vector across enlarged cones."""
+        point = _unit(_as_vector(vector, self.dim, "vector"))
         limits = self.enlarged_half_angles(gamma)
         return float(np.max(_violations(point[None, :], self.axes_matrix(), limits)))
 
@@ -304,9 +302,9 @@ def find_gamma_star(
     fall one-for-one with the level. If the level-0 minimizer is feasible at
     ``r`` (so whenever ``r + max h_i <= pi/2``), the bracket is
     ``(max(0, r - tol/2), r)``; else a cone clamps and ``[r, pi/2]`` is
-    bisected with exact verdicts. ``restarts`` (at least 1) and ``seed``
-    (nonnegative) are validated for call compatibility and do not change the
-    result.
+    bisected with exact verdicts. ``restarts`` (a positive integer) and
+    ``seed`` (a nonnegative one) are validated for call compatibility and do
+    not change the result.
 
     Raises
     ------
@@ -316,8 +314,8 @@ def find_gamma_star(
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if restarts < 1 or seed < 0:
-        raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
+    _as_count(restarts, "restarts", 1)
+    _as_count(seed, "seed", 0)
     residual, witness, _ = _minimize_max_violation(family, 0.0)
     solves = 1
     if residual <= FEASIBILITY_TOLERANCE:
@@ -369,8 +367,7 @@ def phi_curve(
             f"gamma grid must be nonempty, nonnegative and strictly ascending, "
             f"got {reprlib.repr(grid)}"
         )
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    samples = _as_count(samples, "samples", 1)
     # Normalized Gaussian samples are uniform on the unit sphere.
     points = np.random.default_rng(seed).standard_normal((samples, family.dim))
     points /= np.maximum(np.linalg.norm(points, axis=1), np.finfo(float).tiny)[:, None]

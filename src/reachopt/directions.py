@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDirectionError
 from .operators import ConstraintOperator
-from .spectral import _as_vector
+from .spectral import _as_count, _as_vector
 
 #: The one degeneracy rule: the operator-gradient product over the retained
 #: modes must exceed this level relative to the largest eigenvalue times |g|.
@@ -127,8 +127,7 @@ def sample_unit_effort(operator: ConstraintOperator, count: int, rng=None) -> np
     is rescaled to unit effort, which parameterizes the admissible set
     exactly. Returns an array of shape ``(count, dim)``.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = _as_count(count, "count", 1)
     values, basis, _, half = operator._modes
     if values.size == 0:
         raise DegenerateDirectionError("the zero operator admits no unit-effort directions")

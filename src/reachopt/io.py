@@ -4,8 +4,9 @@ Each JSON object goes to one function as keyword arguments: a ``"kind"``
 object to the builder its kind names, any other to a private reader. The
 parameter names are the format, their defaults its defaults, and an unknown
 or missing key raises ``ValueError`` naming the key. Apart from ``"kind"`` and
-the trace path ``"out"``, every value holds numbers, objects or nulls: a string
-or boolean raises too, although ``float`` would read ``"1"`` and ``true`` as 1.
+the trace path ``"out"``, every value holds numbers or objects: a string or
+boolean raises too, although ``float`` would read ``"1"`` and ``true`` as 1, and
+so does a ``null`` except as a whole value whose parameter defaults to ``None``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .ascent import (
 )
 from .cones import CircularCone, CouplingFamily
 from .operators import OperatorField, constant_field, diag_decay_field, mask_field
-from .spectral import SymmetricMatrix
+from .spectral import SymmetricMatrix, _as_count, _as_vector
 
 
 def _names_file(load):
@@ -43,8 +44,8 @@ def _names_file(load):
 
 
 def _numbers(value, key: str) -> None:
-    """Raise ``ValueError`` naming ``key`` if ``value`` holds a JSON string or boolean."""
-    if type(value) in (str, bool):
+    """Raise ``ValueError`` naming ``key`` if ``value`` holds a JSON string, boolean or null."""
+    if value is None or type(value) in (str, bool):
         raise ValueError(f"{key}: expected a number, got {json.dumps(value)}")
     # A row of plain numbers, the common case, needs no call per entry.
     if type(value) is list and not {float, int}.issuperset(map(type, value)):
@@ -53,18 +54,21 @@ def _numbers(value, key: str) -> None:
 
 
 def _call(builder, arguments, what: str):
-    """``builder(**arguments)``, raising an unknown or missing key, or a string or
-    boolean where only numbers belong, as ``ValueError`` naming the key."""
+    """``builder(**arguments)``, raising an unknown or missing key, or a string,
+    boolean or null where only numbers belong, as ``ValueError`` naming the key,
+    and the builder's ``TypeError`` as ``ValueError`` naming ``what``."""
     if not isinstance(arguments, dict):
         raise ValueError(f"{what}: expected a JSON object")
+    signature = inspect.signature(builder)
     try:
-        inspect.signature(builder).bind(**arguments)
+        signature.bind(**arguments)
+        for key, value in arguments.items():
+            # The trace path is the one text value; null means absent where the default is None.
+            if key != "out" and not (value is None and signature.parameters[key].default is None):
+                _numbers(value, key)
+        return builder(**arguments)
     except TypeError as exc:
         raise ValueError(f"{what}: {exc}") from None
-    for key, value in arguments.items():
-        if key != "out":  # the trace path is the one text value
-            _numbers(value, key)
-    return builder(**arguments)
 
 
 def _build(kinds: dict, config, what: str):
@@ -86,7 +90,7 @@ def _matrix(entries, dim=None) -> SymmetricMatrix:
 
 def _cone(axis, half_angle_deg) -> CircularCone:
     """One item of a cone family file."""
-    return CircularCone(np.asarray(axis, dtype=float), math.radians(float(half_angle_deg)))
+    return CircularCone(axis, math.radians(float(half_angle_deg)))
 
 
 def _run(objective, operator_field, theta0, steps, eta, budget=None, out=None) -> dict:
@@ -95,21 +99,16 @@ def _run(objective, operator_field, theta0, steps, eta, budget=None, out=None) -
     The objective's and budget's gradients and the operator field's ``dim`` at
     ``theta0`` must match its length; a mismatch raises ``ValueError`` naming the key.
     """
-    if not float(steps).is_integer():
-        raise ValueError(f"steps must be an integer, got {steps!r}")
     run = {
         "objective": objective_from_config(objective),
         "operator_field": operator_field_from_config(operator_field),
         "budget": budget_from_config(budget),
-        "theta0": np.asarray(theta0, dtype=float),
-        "steps": int(steps),
+        "theta0": _as_vector(theta0, None, "theta0"),
+        "steps": _as_count(steps, "steps", 0),
         "eta": float(eta),
         "out": out,
     }
-    theta = run["theta0"]
-    if theta.ndim != 1 or not np.all(np.isfinite(theta)):
-        raise ValueError("theta0 must be a flat array of finite numbers")
-    budget = run["budget"]
+    theta, budget = run["theta0"], run["budget"]
     for key, shape_at in (
         ("objective", lambda: np.shape(run["objective"].gradient(theta))),
         ("operator_field", lambda: (run["operator_field"](theta).dim,)),
@@ -167,12 +166,7 @@ def load_vector(path) -> np.ndarray:
     with open(path) as handle:
         payload = json.load(handle)
     _numbers(payload, "array")
-    vec = np.asarray(payload, dtype=float)
-    if vec.ndim != 1:
-        raise ValueError("expected a flat JSON array")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("non-finite entries")
-    return vec
+    return _as_vector(payload, None, "array")
 
 
 @_names_file

@@ -15,12 +15,12 @@ are retained for diagnostics.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, SymmetricMatrix, _as_vector, _reciprocal_outer_sum
+from .spectral import (SpectralDecomposition, SymmetricMatrix, _as_count, _as_vector,
+                       _reciprocal_outer_sum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +52,8 @@ class RuleKernel:
     source_spectrum: SpectralDecomposition
 
     def __post_init__(self) -> None:
-        k, rank = operator.index(self.k), self.source_spectrum.rank
-        if not 0 <= k <= rank:
+        k, rank = _as_count(self.k, "k", 0), self.source_spectrum.rank
+        if k > rank:
             raise ValueError(f"truncation rank must lie in [0, rank={rank}], got {k}")
         object.__setattr__(self, "k", k)
 
@@ -97,8 +97,8 @@ def truncate(decomposition: SpectralDecomposition, k: int) -> RuleKernel:
 
     ``k`` may range from 0 (zero kernel) to the rank (full pseudoinverse,
     reproduced exactly). The kept modes are those with the largest
-    pseudoinverse weights. A ``k`` out of range raises ``ValueError``, one that
-    is not an integer ``TypeError``.
+    pseudoinverse weights. A ``k`` out of range raises ``ValueError``, a ``bool``
+    or one that is not an integer ``TypeError``.
     """
     return RuleKernel(k, decomposition)
 

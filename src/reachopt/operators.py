@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, SymmetricMatrix, _as_vector, decompose
+from .spectral import SpectralDecomposition, SymmetricMatrix, _as_count, _as_vector, decompose
 
 OperatorField = Callable[[np.ndarray], "ConstraintOperator"]
 
@@ -119,20 +119,22 @@ def diag_decay_field(dim: int, scale: float, ratio: float) -> OperatorField:
     """Constant diagonal field with geometrically decaying weights.
 
     The i-th diagonal entry is ``scale * ratio**i`` for ``i = 0..dim-1``.
+    ``scale`` and ``ratio`` must be positive and finite, and so must every entry.
     """
-    if not (float(dim).is_integer() and dim >= 1):
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    if scale <= 0.0 or ratio <= 0.0:
-        raise ValueError("scale and ratio must be positive")
-    diagonal = scale * np.power(float(ratio), np.arange(dim, dtype=float))
+    dim = _as_count(dim, "dim", 1)
+    for key, value in (("scale", scale), ("ratio", ratio)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value!r}")
+    with np.errstate(over="ignore"):
+        diagonal = scale * np.power(float(ratio), np.arange(dim, dtype=float))
+    if not np.isfinite(diagonal).all():
+        raise ValueError(f"scale * ratio**{dim - 1} overflows")
     return constant_field(np.diag(diagonal))
 
 
 def mask_field(mask) -> OperatorField:
     """Constant coordinate-projection field: diagonal of 0/1 mask entries."""
-    arr = np.asarray(mask, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("mask must be a nonempty 1-d sequence")
+    arr = _as_vector(mask, None, "mask")
     if not np.all(np.isin(arr, (0.0, 1.0))):
         raise ValueError("mask entries must be 0 or 1")
     return constant_field(np.diag(arr))

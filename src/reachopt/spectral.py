@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +52,26 @@ def _as_square_array(entries) -> np.ndarray:
     return arr
 
 
-def _as_vector(values, dim: int, name: str) -> np.ndarray:
-    """``values`` as a finite float vector of shape ``(dim,)``; ``name`` labels the error."""
+def _as_vector(values, dim: int | None, name: str) -> np.ndarray:
+    """``values`` as a finite float vector of shape ``(dim,)``, or of any nonempty
+    length when ``dim`` is None; ``name`` labels the error."""
     vec = np.asarray(values, dtype=float)
-    if vec.shape != (dim,):
-        raise DimensionMismatchError(
-            f"{name} of shape {vec.shape} does not match dimension {dim}"
-        )
+    if vec.shape != (dim,) and (dim is not None or vec.ndim != 1 or not vec.size):
+        expected = "a nonempty 1-d vector" if dim is None else f"dimension {dim}"
+        raise DimensionMismatchError(f"{name} of shape {vec.shape} does not match {expected}")
     if not all(map(math.isfinite, vec.tolist())):
         raise ValueError(f"{name} entries must be finite")
     return vec
+
+
+def _as_count(value, name: str, low: int) -> int:
+    """``value`` as an ``int`` of at least ``low`` (0 or 1); ``name`` labels the error.
+    A ``bool`` or a non-integer raises ``TypeError``, a smaller value ``ValueError``."""
+    integer = hasattr(value, "__index__") and not isinstance(value, bool)
+    if not (integer and operator.index(value) >= low):
+        message = f"{name} must be a {'positive' if low else 'nonnegative'} integer, got {value!r}"
+        raise (ValueError if integer else TypeError)(message)
+    return operator.index(value)
 
 
 class SymmetricMatrix:

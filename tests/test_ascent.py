@@ -491,6 +491,24 @@ class TestWarmStartedAscent:
         after = ConstraintOperator(operators[-1].matrix).spectrum
         assert after.eigenvectors.tobytes() == decompose(operators[-1].matrix).eigenvectors.tobytes()
 
+    def test_a_start_of_another_dimension_is_dropped(self):
+        # Step 0 builds a 2 x 2 operator and step 1 a 3 x 3 one, which Jacobi starts cold.
+        rng = np.random.default_rng(48)
+        small, large = random_psd(rng, 2, 2), random_psd(rng, 3, 3)
+        built = []
+
+        def growing(point):
+            built.append(ConstraintOperator(large if built else small))
+            return built[-1]
+
+        objective = quadratic_objective(np.eye(2), [0.5, 0.3])
+        with pytest.raises(DimensionMismatchError, match="operator of dimension 3"):
+            run_ascent(objective, growing, None, np.zeros(2), 5, 0.01)
+        assert len(built) == 2
+        cold = decompose(large)
+        assert built[1].spectrum.eigenvectors.tobytes() == cold.eigenvectors.tobytes()
+        assert built[1].spectrum.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+
     def test_other_threads_build_cold(self):
         dim = 8
         field = rotating_field(dim)

@@ -398,9 +398,11 @@ def test_unknown_key_fails_naming_file_and_key(command, payload, key, gradient_f
         {"steps": True},
         {"eta": "0.01"},
         {"theta0": ["0", "0"]},
+        {"steps": 5.0},
     ],
     ids=["nan-kappa", "infinite-kappa", "fractional-steps", "infinite-linear",
-         "infinite-scale", "string-steps", "boolean-steps", "string-eta", "string-theta0"],
+         "infinite-scale", "string-steps", "boolean-steps", "string-eta", "string-theta0",
+         "integral-float-steps"],
 )
 def test_bad_run_value_fails_naming_file(changes, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -409,6 +411,62 @@ def test_bad_run_value_fails_naming_file(changes, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"steps": None}, "steps"),
+        ({"eta": None}, "eta"),
+        ({"objective": {"kind": "rosenbrock", "scale": None}}, "scale"),
+        ({"operator_field": {"kind": "diag_decay", "dim": None, "scale": 1.0, "ratio": 0.5}},
+         "dim"),
+        ({"theta0": [0.0, None]}, "theta0"),
+    ],
+    ids=["steps", "eta", "rosenbrock-scale", "diag-decay-dim", "theta0-entry"],
+)
+def test_null_where_a_number_belongs_fails_naming_the_key(changes, key, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_run_config(**changes)))
+    assert main(["optimize", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {key}: expected a number, got null")
+
+
+def test_null_stands_for_an_absent_optional_value(tmp_path, capsys):
+    # null is allowed as a whole value only where the parameter defaults to None.
+    path = tmp_path / "config.json"
+    for changes in (
+        {"budget": None},
+        {"budget": {"kind": "sphere", "kappa": 1.0, "center": None}},
+        {"operator_field": {"kind": "constant",
+                            "matrix": {"dim": None, "entries": [[1.0, 0.0], [0.0, 1.0]]}}},
+        {"out": None},
+    ):
+        path.write_text(json.dumps(_run_config(**changes)))
+        assert main(["optimize", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "completed"
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"scale": math.nan, "ratio": 0.5}, "scale must be positive and finite"),
+        ({"scale": 1.0, "ratio": math.inf}, "ratio must be positive and finite"),
+        ({"scale": 1e308, "ratio": 10.0}, "scale * ratio**1 overflows"),
+    ],
+    ids=["nan-scale", "infinite-ratio", "overflowing-diagonal"],
+)
+def test_bad_diag_decay_fails_naming_the_key(field, message, tmp_path, capsys):
+    # No RuntimeWarning may escape either: the suite turns one into an error.
+    path = tmp_path / "config.json"
+    config = _run_config(operator_field={"kind": "diag_decay", "dim": 2, **field})
+    path.write_text(json.dumps(config))
+    assert main(["optimize", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and message in captured.err
 
 
 @pytest.mark.parametrize(

@@ -254,6 +254,17 @@ class TestIsFeasible:
         assert result.feasible
         assert np.allclose(result.witness, np.ones(3) / math.sqrt(3.0))
 
+    def test_matches_subset_enumeration_past_a_subset_of_nullity_two(self):
+        # The first two axes repeat and the third opposes them, so a subset of all three
+        # spans a line and has no balance point; the minimax comes from smaller subsets.
+        axes = ([-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, -1.0])
+        halves = (math.pi / 2, 0.7, math.pi / 4)
+        family = CouplingFamily(tuple(CircularCone(np.array(a), h) for a, h in zip(axes, halves)))
+        value, _ = enumerated_minimax(family.axes_matrix(), family.enlarged_half_angles(0.0))
+        result = is_feasible(family, 0.0)
+        assert not result.feasible
+        assert result.residual == pytest.approx(value, abs=1e-10)
+
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(33)
         for _ in range(100):

@@ -10,7 +10,7 @@ from reachopt import (
     rosenbrock_objective,
     spherical_budget,
 )
-from reachopt.io import load_matrix
+from reachopt.io import load_cone_family, load_matrix
 
 
 class TestMatrixObject:
@@ -68,7 +68,14 @@ def test_builder_defaults_are_the_format_defaults():
     assert budget.cost(point) == spherical_budget(2.0, [0.0, 0.0]).cost(point)
 
 
-@pytest.mark.parametrize("dim", [2.5, float("inf"), float("nan"), 0])
+@pytest.mark.parametrize("dim", [2.5, float("inf"), float("nan"), 0, 2.0])
 def test_diag_decay_dim_must_be_a_positive_integer(dim):
     with pytest.raises(ValueError, match="dim must be a positive integer"):
         operator_field_from_config({"kind": "diag_decay", "dim": dim, "scale": 1.0, "ratio": 0.5})
+
+
+def test_cone_family_must_be_a_list(tmp_path):
+    path = tmp_path / "cones.json"
+    path.write_text(json.dumps({"axis": [1.0, 0.0], "half_angle_deg": 10.0}))
+    with pytest.raises(ValueError, match="expected a JSON list of cones"):
+        load_cone_family(path)

@@ -36,7 +36,6 @@ from .directions import (
     sample_unit_effort,
 )
 from .errors import (
-    DegenerateDirectionError,
     DimensionMismatchError,
     InfeasibleAtMaxError,
     InfeasibleStartError,
@@ -62,7 +61,6 @@ __all__ = [
     "CircularCone",
     "ConstraintOperator",
     "CouplingFamily",
-    "DegenerateDirectionError",
     "DimensionMismatchError",
     "DirectionKind",
     "DirectionResult",

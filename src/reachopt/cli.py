@@ -20,6 +20,7 @@ from .directions import optimal_direction
 from .errors import ReachoptError
 from .kernels import smallest_k_for_error, truncate
 from .operators import ConstraintOperator
+from .spectral import decompose
 
 
 def _emit_json(payload: dict) -> None:
@@ -41,9 +42,8 @@ def _cmd_direction(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    operator = ConstraintOperator(io.load_matrix(args.operator))
+    spectrum = decompose(io.load_matrix(args.operator))
     gradient = io.load_vector(args.gradient)
-    spectrum = operator.spectrum
     if args.k is not None:
         k = args.k
     else:

@@ -28,9 +28,6 @@ HALF_PI = math.pi / 2.0
 #: A point counts as inside every cone when its worst violation is below this.
 FEASIBILITY_TOLERANCE = 1e-9
 
-#: Validated for call compatibility only: the exact solver uses no random starts.
-DEFAULT_RESTARTS = 64
-
 #: Cap on active-set pivots; a family in dimension d typically needs about d.
 DEFAULT_ITERATIONS = 500
 
@@ -292,7 +289,7 @@ def is_feasible(family: CouplingFamily, gamma: float) -> FeasibilityResult:
 def find_gamma_star(
     family: CouplingFamily,
     tol: float,
-    restarts: int = DEFAULT_RESTARTS,
+    restarts: int = 64,
     *,
     seed: int = 0,
 ) -> ThresholdResult:
@@ -359,7 +356,7 @@ def phi_curve(
     One sample set is shared across all grid points, and each sample is
     counted from the one level at which it enters every enlarged cone, so the
     estimated curve is exactly monotone nondecreasing. A negative or NaN
-    level raises ``ValueError``.
+    level raises ``ValueError``; ``samples`` and ``seed`` are checked as counts.
     """
     grid = [float(g) for g in gammas]
     if not (grid and grid[0] >= 0.0 and all(b > a for a, b in zip(grid, grid[1:]))):
@@ -367,7 +364,7 @@ def phi_curve(
             f"gamma grid must be nonempty, nonnegative and strictly ascending, "
             f"got {reprlib.repr(grid)}"
         )
-    samples = _as_count(samples, "samples", 1)
+    samples, seed = _as_count(samples, "samples", 1), _as_count(seed, "seed", 0)
     # Normalized Gaussian samples are uniform on the unit sphere.
     points = np.random.default_rng(seed).standard_normal((samples, family.dim))
     points /= np.maximum(np.linalg.norm(points, axis=1), np.finfo(float).tiny)[:, None]

@@ -20,7 +20,6 @@ from operator import mul
 
 import numpy as np
 
-from .errors import DegenerateDirectionError
 from .operators import ConstraintOperator
 from .spectral import _as_count, _as_vector
 
@@ -125,12 +124,13 @@ def sample_unit_effort(operator: ConstraintOperator, count: int, rng=None) -> np
 
     Gaussian coefficients are drawn in the retained eigenbasis and each sample
     is rescaled to unit effort, which parameterizes the admissible set
-    exactly. Returns an array of shape ``(count, dim)``.
+    exactly. Returns an array of shape ``(count, dim)``; the zero operator raises
+    ``ValueError``.
     """
     count = _as_count(count, "count", 1)
     values, basis, _, half = operator._modes
     if values.size == 0:
-        raise DegenerateDirectionError("the zero operator admits no unit-effort directions")
+        raise ValueError("the zero operator admits no unit-effort directions")
     generator = np.random.default_rng(rng)
     coeff = generator.standard_normal((count, values.size))
     efforts = (coeff * coeff) @ values

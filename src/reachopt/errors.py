@@ -27,10 +27,6 @@ class JacobiConvergenceError(ReachoptError, RuntimeError):
         self.sweeps = sweeps
 
 
-class DegenerateDirectionError(ReachoptError, ValueError):
-    """The direction has vanishing effort, so no unit-effort representative exists."""
-
-
 class InfeasibleAtMaxError(ReachoptError, RuntimeError):
     """Even fully enlarged cones share no common direction.
 

@@ -99,6 +99,8 @@ def _run(objective, operator_field, theta0, steps, eta, budget=None, out=None) -
     The objective's and budget's gradients and the operator field's ``dim`` at
     ``theta0`` must match its length; a mismatch raises ``ValueError`` naming the key.
     """
+    if not (out is None or isinstance(out, str)):
+        raise ValueError(f"out: expected a path string, got {json.dumps(out)}")
     run = {
         "objective": objective_from_config(objective),
         "operator_field": operator_field_from_config(operator_field),

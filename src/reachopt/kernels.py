@@ -111,6 +111,7 @@ def smallest_k_for_error(decomposition: SpectralDecomposition, eps: float) -> in
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    # The full rank has error 0, so some k always qualifies.
-    kernels = (RuleKernel(k, decomposition) for k in range(decomposition.rank + 1))
-    return next(kernel.k for kernel in kernels if kernel.op_error <= eps)
+    # A cut meets eps when 1/lambda of its smallest omitted eigenvalue does, the
+    # division op_error makes; 1/lambda ascends along the modes, so those cuts are a prefix.
+    rank = decomposition.rank
+    return rank - int(np.count_nonzero(1.0 / decomposition.eigenvalues[:rank] <= eps))

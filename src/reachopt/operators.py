@@ -71,11 +71,6 @@ class ConstraintOperator:
     def reachable_dim(self) -> int:
         return self._spectrum.rank
 
-    @property
-    def operator_norm(self) -> float:
-        """Largest eigenvalue (zero for the zero operator)."""
-        return float(self._spectrum.eigenvalues[0])
-
     def project_onto_image(self, vector) -> np.ndarray:
         return self._spectrum.project_onto_image(vector)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -228,6 +229,17 @@ class TestPhiCurveCommand:
         assert captured.out == ""
         assert "--gamma-max must be finite" in captured.err
 
+    def test_negative_seed_fails_naming_it(self, cones_file, capsys):
+        assert main(
+            [
+                "phi-curve", "--cones", cones_file, "--gamma-max", "0.5",
+                "--steps", "3", "--samples", "100", "--seed", "-1",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -447,6 +459,21 @@ def test_null_stands_for_an_absent_optional_value(tmp_path, capsys):
         path.write_text(json.dumps(_run_config(**changes)))
         assert main(["optimize", "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "completed"
+
+
+@pytest.mark.parametrize("out", [1, True, []], ids=["integer", "boolean", "list"])
+def test_out_that_is_not_a_path_fails_naming_file_and_key(out, tmp_path, capsys):
+    # 1 and true would open file descriptor 1, stdout, and close it after the trace.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_run_config(out=out)))
+    assert main(["optimize", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: out: expected a path string, got {json.dumps(out)}\n"
+    os.fstat(1)
+    path.write_text(json.dumps(_run_config()))
+    assert main(["optimize", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "completed"
 
 
 @pytest.mark.parametrize(

@@ -450,6 +450,45 @@ class TestFindGammaStar:
         assert min(levels[1:]) >= math.radians(30.0) - 1e-9
         assert result.solves == len(levels)
 
+    def test_random_thresholds_past_a_clamp_match_subset_enumeration(self):
+        # The enumeration's verdicts are exact at every level: a feasible optimum
+        # is a balance point. Families like test_matches_subset_enumeration's,
+        # with half-angles up to pi/2 so that cones clamp.
+        def feasible(family, gamma):
+            limits = family.enlarged_half_angles(gamma)
+            return enumerated_minimax(family.axes_matrix(), limits)[0] <= FEASIBILITY_TOLERANCE
+
+        tol, past_clamp, raised = 1e-4, 0, 0
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            dim, count = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            if rng.integers(2):
+                axes = rng.integers(-1, 2, (count, dim))
+                halves = rng.choice([0.0, 0.1, 0.3, 0.7, math.pi / 4, math.pi / 2], count)
+            else:
+                axes = rng.standard_normal((count, dim))
+                halves = rng.uniform(0.0, math.pi / 2, count)
+            if not np.all(np.any(axes != 0, axis=1)):
+                continue
+            family = CouplingFamily(tuple(CircularCone(a, h) for a, h in zip(axes, halves)))
+            try:
+                result = find_gamma_star(family, tol)
+            except InfeasibleAtMaxError:
+                assert not feasible(family, math.pi / 2)
+                raised += 1
+                continue
+            # The witness also proves the family feasible at pi/2, where the cones nest.
+            low, high = result.bracket
+            assert family.max_violation(result.witness, high) <= 1e-9
+            if result.solves == 1:
+                continue
+            past_clamp += 1
+            # A level-0 residual of exactly pi/2 is the threshold itself.
+            assert 0.0 < high - low <= tol or low == high == math.pi / 2
+            if low > 1e-7:
+                assert not feasible(family, low - 1e-7)
+        assert past_clamp >= 20 and raised >= 1
+
     def test_many_cone_family(self):
         # All 40 cones are active at the centre; enumerating the family's
         # subsets of up to six cones would take about 4.6 million solves.

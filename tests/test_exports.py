@@ -5,7 +5,6 @@ PUBLIC_NAMES = [
     "CircularCone",
     "ConstraintOperator",
     "CouplingFamily",
-    "DegenerateDirectionError",
     "DimensionMismatchError",
     "DirectionKind",
     "DirectionResult",

@@ -23,6 +23,7 @@ from reachopt import (
     find_gamma_star,
     mask_field,
     phi,
+    phi_curve,
     rosenbrock_objective,
     run_ascent,
     sample_unit_effort,
@@ -119,3 +120,18 @@ def test_count_below_range_raises_value_error(name):
 def test_count_takes_a_numpy_integer(name):
     call, below = COUNTS[name]
     call(np.int64(below + 1))
+
+
+# The table above is keyed by the count's name, and "seed" is find_gamma_star's.
+@pytest.mark.parametrize(
+    "value, error",
+    [(True, TypeError), (1.5, TypeError), (2.0, TypeError), (-1, ValueError)],
+    ids=["bool", "fraction", "integral-float", "negative"],
+)
+def test_phi_curve_seed_is_checked_as_a_count(value, error):
+    with pytest.raises(error, match="^seed must be a nonnegative integer"):
+        phi_curve(FAMILY, [0.5], 10, value)
+
+
+def test_phi_curve_takes_a_numpy_integer_seed():
+    assert phi_curve(FAMILY, [0.5], 10, np.int64(3)) == phi_curve(FAMILY, [0.5], 10, 3)

@@ -65,11 +65,6 @@ class TestOperatorGeometry:
             # The complement really is operator kernel.
             assert np.linalg.norm(op.matrix.entries @ kernel_part) <= 1e-9
 
-    def test_operator_norm_is_top_eigenvalue(self):
-        op = ConstraintOperator(np.diag([4.0, 2.0]))
-        assert op.operator_norm == pytest.approx(4.0, abs=1e-12)
-        assert ConstraintOperator(np.zeros((2, 2))).operator_norm == 0.0
-
 
 class TestOperatorFields:
     def test_constant_field_reuses_operator(self):

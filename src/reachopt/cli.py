@@ -20,7 +20,7 @@ from .directions import optimal_direction
 from .errors import ReachoptError
 from .kernels import smallest_k_for_error, truncate
 from .operators import ConstraintOperator
-from .spectral import decompose
+from .spectral import _as_count, decompose
 
 
 def _emit_json(payload: dict) -> None:
@@ -89,7 +89,7 @@ def _cmd_phi_curve(args) -> int:
     if not math.isfinite(args.gamma_max):
         raise ValueError(f"--gamma-max must be finite, got {args.gamma_max!r}")
     family = io.load_cone_family(args.cones)
-    grid = np.linspace(0.0, args.gamma_max, args.steps)
+    grid = np.linspace(0.0, args.gamma_max, _as_count(args.steps, "--steps", 1))
     curve = phi_curve(family, grid, args.samples, args.seed)
     print("gamma,phi,stderr")
     for gamma, estimate, std_error in curve:

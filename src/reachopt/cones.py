@@ -353,10 +353,12 @@ def phi_curve(
 ) -> list[tuple[float, float, float]]:
     """Measure estimates along an ascending grid with common random numbers.
 
-    One sample set is shared across all grid points, and each sample is
-    counted from the one level at which it enters every enlarged cone, so the
-    estimated curve is exactly monotone nondecreasing. A negative or NaN
-    level raises ``ValueError``; ``samples`` and ``seed`` are checked as counts.
+    One sample set is shared across all grid points: the normalized rows of
+    ``np.random.default_rng(seed).standard_normal((samples, dim))``, so a seed
+    gives the same estimates across versions. Each sample is counted from the
+    one level at which it enters every enlarged cone, so the estimated curve is
+    exactly monotone nondecreasing. A negative or NaN level raises
+    ``ValueError``; ``samples`` and ``seed`` are checked as counts.
     """
     grid = [float(g) for g in gammas]
     if not (grid and grid[0] >= 0.0 and all(b > a for a, b in zip(grid, grid[1:]))):
@@ -365,14 +367,16 @@ def phi_curve(
             f"got {reprlib.repr(grid)}"
         )
     samples, seed = _as_count(samples, "samples", 1), _as_count(seed, "seed", 0)
-    # Normalized Gaussian samples are uniform on the unit sphere.
+    # Normalized Gaussian samples are uniform on the unit sphere. The angles are
+    # laid out cones by samples, so every reduction runs along the long axis.
     points = np.random.default_rng(seed).standard_normal((samples, family.dim))
-    points /= np.maximum(np.linalg.norm(points, axis=1), np.finfo(float).tiny)[:, None]
-    angles = np.arccos(np.clip(points @ family.axes_matrix().T, -1.0, 1.0))
+    angles = family.axes_matrix() @ points.T
+    angles /= np.maximum(np.sqrt(np.einsum("ij,ij->i", points, points)), np.finfo(float).tiny)
+    np.arccos(np.clip(angles, -1.0, 1.0, out=angles), out=angles)
     # A sample lies inside every enlarged cone from the level max_i(angle_i - h_i)
     # on, unless some angle exceeds the right angle at which the cones clamp.
-    entry = np.max(angles - family.enlarged_half_angles(0.0), axis=1)
-    entry[np.max(angles, axis=1) > HALF_PI] = np.inf
+    entry = np.max(angles - family.enlarged_half_angles(0.0)[:, None], axis=0)
+    entry[np.max(angles, axis=0) > HALF_PI] = np.inf
     curve = []
     for gamma in grid:
         estimate = float(np.count_nonzero(entry <= gamma)) / samples

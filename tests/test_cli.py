@@ -240,6 +240,18 @@ class TestPhiCurveCommand:
         assert captured.out == ""
         assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
 
+    @pytest.mark.parametrize("steps", ["-1", "0"])
+    def test_steps_below_one_fails_naming_it(self, cones_file, steps, capsys):
+        assert main(
+            [
+                "phi-curve", "--cones", cones_file, "--gamma-max", "0.5",
+                f"--steps={steps}", "--samples", "100", "--seed", "1",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --steps must be a positive integer, got {steps}\n"
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -160,7 +160,7 @@ class TestCouplingFamily:
     @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        dim=st.integers(2, 5),
+        dim=st.integers(2, 8),
         count=st.integers(1, 5),
         start=st.floats(0.0, 1.0),
         steps=st.lists(st.floats(1e-6, 0.5), max_size=7),
@@ -573,6 +573,16 @@ class TestPhiCurve:
         curve = phi_curve(family, np.linspace(0.0, math.pi / 2, 12), 20_000, seed=4)
         estimates = [value for _, value, _ in curve]
         assert all(b >= a for a, b in zip(estimates, estimates[1:]))
+
+    @pytest.mark.parametrize("seed", [7, 8, 1807])
+    def test_counts_match_membership_by_level_at_benchmark_scale(self, seed):
+        # The largest slot the benchmark runs: five cones in dimension 8, 2e4 samples.
+        family = random_family(np.random.default_rng(seed), 8, 5)
+        grid = np.linspace(0.0, math.pi / 2, 7)
+        estimates = [estimate for _, estimate, _ in phi_curve(family, grid, 20_000, seed)]
+        halves = family.enlarged_half_angles(0.0)
+        assert estimates == phi_curve_by_level(family.axes_matrix(), halves, grid, 20_000, seed)
+        assert estimates[-1] > 0.0
 
     def test_single_cone_cap_value(self):
         family = CouplingFamily((CircularCone(np.array([0.0, 0.0, 1.0]), math.pi / 4),))

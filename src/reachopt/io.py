@@ -83,7 +83,7 @@ def _build(kinds: dict, config, what: str):
 def _matrix(entries, dim=None) -> SymmetricMatrix:
     """The matrix object ``{"dim": n, "entries": [[...], ...]}``; ``dim`` is optional."""
     matrix = SymmetricMatrix(entries)
-    if dim is not None and dim != matrix.dim:
+    if dim is not None and _as_count(dim, "dim", 1) != matrix.dim:
         raise ValueError(f"declared dim {dim!r} does not match entries of dim {matrix.dim}")
     return matrix
 

@@ -236,7 +236,7 @@ def jacobi_reference(
         state[:n, m:] = start.T
     scale = float(np.sqrt(np.sum(matrix * matrix)))
     target = 1e-14 * scale
-    skip = target / max(n * n, 1)
+    skip = target / max(n, 1)
     first = np.arange(0, m, 2)
     to_first, to_second = moved = _moving_destinations(m)
     pair_entries = first * width + np.stack((first, first + width + 1, first + 1))

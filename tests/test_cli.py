@@ -118,6 +118,25 @@ class TestDirectionCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: {key}: expected a number")
 
+    @pytest.mark.parametrize(
+        "dim, message",
+        [
+            (2.0, "matrix: dim must be a positive integer, got 2.0"),
+            (True, "dim: expected a number, got true"),
+            (0, "dim must be a positive integer, got 0"),
+        ],
+        ids=["float", "boolean", "zero"],
+    )
+    def test_declared_dim_must_be_a_positive_integer(
+        self, dim, message, gradient_file, tmp_path, capsys
+    ):
+        operator = tmp_path / "op.json"
+        operator.write_text(json.dumps({"dim": dim, "entries": [[4.0, 0.0], [0.0, 1.0]]}))
+        assert main(["direction", "--operator", str(operator), "--gradient", gradient_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {operator}: {message}\n"
+
 
 class TestCompressCommand:
     def test_fixed_k(self, matrix_file, gradient_file, capsys):

@@ -20,6 +20,12 @@ class TestMatrixObject:
         with pytest.raises(ValueError, match="declared dim 3"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("dim", [2.0, 0])
+    def test_constant_field_dim_must_be_a_positive_integer(self, dim):
+        config = {"kind": "constant", "matrix": {"dim": dim, "entries": [[1.0, 0.0], [0.0, 1.0]]}}
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            operator_field_from_config(config)
+
     def test_dim_is_optional(self, tmp_path):
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"entries": [[2.0, 1.0], [1.0, 2.0]]}))

@@ -179,6 +179,45 @@ class TestDecompose:
         assert dec.off_diagonal_norm <= target
 
 
+class TestSkipLevel:
+    """Jacobi leaves entries of at most 1e-14 * |A|_F / n alone."""
+
+    @staticmethod
+    def _accurate(matrix):
+        dec = decompose(matrix)
+        vectors, values = dec.eigenvectors, dec.eigenvalues
+        assert np.max(np.abs(matrix @ vectors - vectors * values)) <= 1e-13 * values[0]
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(values.size))) <= 1e-13
+        return dec
+
+    def test_rank_deficient_at_64_converges_in_ten_sweeps(self):
+        # Rotating the kernel's noise would undo kernel-image couplings already
+        # removed; a skip level of target / n**2 needed 12-13 sweeps here.
+        dec = self._accurate(random_psd(np.random.default_rng(51), 64, 51))
+        assert dec.sweeps <= 10
+
+    def test_repeated_eigenvalue_stays_accurate(self):
+        rng = np.random.default_rng(16)
+        basis = random_orthogonal(rng, 64)
+        values = np.zeros(64)
+        values[:16] = 2.0
+        values[16:51] = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 35))
+        self._accurate((basis * values) @ basis.T)
+
+    def test_entries_just_below_the_skip_level_stay(self):
+        n = 16
+        matrix = np.diag(np.linspace(1.0, 2.0, n))
+        norm = np.linalg.norm(matrix)
+        small = 0.99e-14 * norm / n
+        matrix += small * (1.0 - np.eye(n))
+        matrix[0, 5] = matrix[5, 0] = 10e-14 * norm
+        dec = decompose(matrix)
+        assert dec.sweeps == 1
+        assert dec.off_diagonal_norm <= 1e-14 * np.linalg.norm(matrix)
+        # Only the large pair was rotated; the small entries are still there.
+        assert dec.off_diagonal_norm >= 0.9 * small * math.sqrt(n * (n - 1) - 2)
+
+
 def _signs_by_column(vectors):
     """Reference: the per-column loop that ``_canonicalize_signs`` vectorizes."""
     out = vectors.copy()

@@ -298,10 +298,10 @@ def find_gamma_star(
     No level below the level-0 minimax residual ``r`` is feasible: violations
     fall one-for-one with the level. If the level-0 minimizer is feasible at
     ``r`` (so whenever ``r + max h_i <= pi/2``), the bracket is
-    ``(max(0, r - tol/2), r)``; else a cone clamps and ``[r, pi/2]`` is
-    bisected with exact verdicts. ``restarts`` (a positive integer) and
-    ``seed`` (a nonnegative one) are validated for call compatibility and do
-    not change the result.
+    ``(max(0, r - tol/2), r)``; else a cone clamps and ``[min(r, pi/2), pi/2]``
+    is bisected with exact verdicts, so ``low <= high`` always. ``restarts``
+    (a positive integer) and ``seed`` (a nonnegative one) are validated for
+    call compatibility and do not change the result.
 
     Raises
     ------
@@ -323,7 +323,7 @@ def find_gamma_star(
         solves += 1
         if not at_max.feasible:
             raise InfeasibleAtMaxError(at_max.residual)
-        low, high, witness = residual, HALF_PI, at_max.witness
+        low, high, witness = min(residual, HALF_PI), HALF_PI, at_max.witness
     while high - low > tol:
         mid = 0.5 * (low + high)
         result = is_feasible(family, mid)

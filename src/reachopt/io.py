@@ -11,7 +11,6 @@ so does a ``null`` except as a whole value whose parameter defaults to ``None``.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import json
 import math
@@ -30,17 +29,13 @@ from .operators import OperatorField, constant_field, diag_decay_field, mask_fie
 from .spectral import SymmetricMatrix, _as_count, _as_vector
 
 
-def _names_file(load):
-    """Re-raise what a malformed file makes ``load`` raise as ``ValueError`` naming it."""
-
-    @functools.wraps(load)
-    def checked(path):
-        try:
-            return load(path)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-    return checked
+def _load(path, read):
+    """``read`` of the JSON in ``path``; a malformed file raises ``ValueError`` naming it."""
+    try:
+        with open(path) as handle:
+            return read(json.load(handle))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _numbers(value, key: str) -> None:
@@ -155,38 +150,36 @@ def budget_from_config(config: dict | None) -> BudgetConstraint | None:
     return _build({"sphere": spherical_budget}, config, "budget")
 
 
-@_names_file
 def load_matrix(path) -> SymmetricMatrix:
     """Read ``{"dim": n, "entries": [[...], ...]}``."""
-    with open(path) as handle:
-        return _call(_matrix, json.load(handle), "matrix")
+    return _load(path, lambda payload: _call(_matrix, payload, "matrix"))
 
 
-@_names_file
 def load_vector(path) -> np.ndarray:
     """Read a plain JSON array of finite numbers."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    _numbers(payload, "array")
-    return _as_vector(payload, None, "array")
+
+    def read(payload):
+        _numbers(payload, "array")
+        return _as_vector(payload, None, "array")
+
+    return _load(path, read)
 
 
-@_names_file
 def load_cone_family(path) -> CouplingFamily:
     """Read a JSON list of ``{"axis": [...], "half_angle_deg": x}`` entries."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, list):
-        raise ValueError("expected a JSON list of cones")
-    return CouplingFamily(tuple(_call(_cone, item, "cone") for item in payload))
+
+    def read(payload):
+        if not isinstance(payload, list):
+            raise ValueError("expected a JSON list of cones")
+        return CouplingFamily(tuple(_call(_cone, item, "cone") for item in payload))
+
+    return _load(path, read)
 
 
-@_names_file
 def load_run_config(path) -> dict:
     """Read an ``optimize`` configuration and build what it describes.
 
     Returns the keyword arguments of :func:`reachopt.ascent.run_ascent`
     together with ``"out"``, the optional trace CSV path.
     """
-    with open(path) as handle:
-        return _call(_run, json.load(handle), "run config")
+    return _load(path, lambda payload: _call(_run, payload, "run config"))

@@ -4,11 +4,12 @@ Everything in this module is deterministic: the eigensolver performs
 round-robin Jacobi sweeps in a fixed order (a cached per-dimension plan pairs
 rows that stay in place) using elementwise arithmetic only, eigenvalues are
 ordered descending with a stable sort, and each eigenvector's first nonzero
-component is flipped to be positive. Decompositions of the same
-matrix from the same ``start`` are therefore bit-identical across runs and
-BLAS thread counts. ``run_ascent`` starts the operators built during the run
-from the previous step's eigenvectors, so along a point-dependent field the
-bits also depend on the trajectory so far; repeat runs still match.
+component is flipped to be positive. Decompositions of the same matrix from the
+same ``start`` are therefore bit-identical across runs and BLAS thread counts.
+No ``start`` means the identity, for which the basis change is exact.
+``run_ascent`` starts the operators built during the run from the previous
+step's eigenvectors, so along a point-dependent field the bits also depend on
+the trajectory so far; repeat runs still match.
 """
 
 from __future__ import annotations
@@ -222,19 +223,15 @@ def _jacobi_eigensystem(
     # An exact power-of-two scaling keeps the norms below in range; results are scaled back.
     exponent = math.frexp(float(np.max(np.abs(matrix))))[1]
     matrix = np.ldexp(matrix, -exponent)
-    # Each row holds a row of the working matrix (an odd n gets a zero pad row
-    # and column, which never rotate) followed by one eigenvector.
+    start = np.eye(n) if start is None else start
+    # Each row holds a row of V0^T A V0, symmetrized as the rotations below
+    # assume (an odd n gets a zero pad row and column, which never rotate),
+    # followed by one eigenvector row of V0^T. einsum without optimize= calls
+    # no BLAS, so the bits do not depend on threads.
     state = np.zeros((m, m + n))
-    if start is None:
-        state[:n, :n] = matrix
-        state[:, m:] = np.eye(m, n)
-    else:
-        # Work on V0^T A V0, symmetrized as the rotations below assume, with
-        # eigenvector rows V0^T. einsum without optimize= calls no BLAS, so the
-        # bits still do not depend on threads.
-        rotated = np.einsum("ki,kj->ij", start, np.einsum("ik,kj->ij", matrix, start))
-        state[:n, :n] = (rotated + rotated.T) / 2.0
-        state[:n, m:] = start.T
+    rotated = np.einsum("ki,kj->ij", start, np.einsum("ik,kj->ij", matrix, start))
+    state[:n, :n] = (rotated + rotated.T) / 2.0
+    state[:n, m:] = start.T
     scale = float(np.sqrt(np.sum(matrix * matrix)))
     target = _CONVERGENCE_FACTOR * scale
     # n(n - 1) off-diagonal entries of at most target / n have a norm below target,
@@ -308,7 +305,8 @@ def decompose(matrix, *, start=None) -> SpectralDecomposition:
         sweeps, at the cost of about ``|A| * eps`` absolute error from the
         basis change. Columns that are not orthonormal to within ``1e-8``
         raise ``ValueError``; the rest are refined to orthonormal first, so
-        chaining starts along a path does not build up error.
+        chaining starts along a path does not build up error. None, the
+        default, means the identity, for which the basis change is exact.
 
     Raises
     ------

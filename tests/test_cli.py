@@ -221,6 +221,19 @@ class TestThresholdCommand:
         assert captured.err.startswith(f"error: {cones}: ")
 
 
+    def test_residual_rounded_above_half_pi_keeps_the_bracket_ordered(self, tmp_path, capsys):
+        cones = tmp_path / "cones.json"
+        cones.write_text(json.dumps([
+            {"axis": [-1.0, 0.0, -1.0], "half_angle_deg": 0.0},
+            {"axis": [-1.0, 0.0, 0.0], "half_angle_deg": 45.0},
+            {"axis": [1.0, 0.0, 1.0], "half_angle_deg": 0.0},
+        ]))
+        assert main(["threshold", "--cones", str(cones), "--tol", "1e-4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["bracket"][0] <= payload["bracket"][1]
+        assert payload["tolerance"] >= 0.0
+
+
 class TestPhiCurveCommand:
     def test_csv_output(self, cones_file, capsys):
         assert main(
@@ -550,6 +563,32 @@ def test_dimension_mismatch_fails_naming_file_and_key(changes, key, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: {key}")
+
+
+@pytest.mark.parametrize(
+    "command, option, text",
+    [
+        ("direction", "--operator", '{"dim": 2,'),
+        ("direction", "--gradient", "[1.0, "),
+        ("threshold", "--cones", '[{"axis": [1, 0]'),
+        ("optimize", "--config", '{"objective": '),
+    ],
+    ids=["operator", "gradient", "cones", "config"],
+)
+def test_truncated_json_fails_naming_the_file(command, option, text, matrix_file, gradient_file,
+                                              tmp_path, capsys):
+    path = tmp_path / "truncated.json"
+    path.write_text(text)
+    argv = {
+        "direction": ["direction", "--operator", matrix_file, "--gradient", gradient_file],
+        "threshold": ["threshold", "--cones", "", "--tol", "1e-3"],
+        "optimize": ["optimize", "--config", ""],
+    }[command]
+    argv[argv.index(option) + 1] = str(path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
 
 
 def test_key_error_inside_a_command_propagates(matrix_file, gradient_file, monkeypatch):

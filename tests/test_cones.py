@@ -352,6 +352,17 @@ class TestFindGammaStar:
         assert lo <= result.gamma_star <= hi + 1e-15
         assert family.max_violation(result.witness, hi) <= 1e-9
 
+    def test_residual_rounded_above_half_pi_keeps_the_bracket_ordered(self):
+        # The level-0 residual rounds one ulp above pi/2, and a cone clamps.
+        family = CouplingFamily((cone([-1.0, 0.0, -1.0], 0.0), cone([-1.0, 0.0, 0.0], 45.0),
+                                 cone([1.0, 0.0, 1.0], 0.0)))
+        result = find_gamma_star(family, 1e-4)
+        low, high = result.bracket
+        assert low <= high
+        assert result.tolerance >= 0.0
+        assert result.gamma_star == cones.HALF_PI
+        assert family.max_violation(result.witness, cones.HALF_PI) <= FEASIBILITY_TOLERANCE
+
     def test_antipodal_needle_cones(self):
         family = CouplingFamily(
             (cone([1.0, 0.0, 0.0], 0.0), cone([-1.0, 0.0, 0.0], 0.0))

@@ -332,6 +332,25 @@ class TestSameWorkAsMovingLayout:
         _assert_same_as_moving_layout(matrix, start)
 
 
+class TestColdStartIsIdentityStart:
+    """No start is the identity start: the same path, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [pytest.param(_moving_layout_case(dim, kind), id=f"{kind}-{dim}")
+         for dim in (1, 2, 5, 8, 9, 12) for kind in ("gram", "rank-deficient", "diagonal", "zero")]
+        + [pytest.param(-0.0 * np.eye(3), id="negative-zero-3"),
+           pytest.param(np.array([[-0.0, -0.0], [-0.0, 1.0]]), id="negative-zero-entries")],
+    )
+    def test_matches_identity_start(self, matrix):
+        cold = decompose(matrix)
+        warm = decompose(matrix, start=np.eye(matrix.shape[0]))
+        assert cold.eigenvalues.tobytes() == warm.eigenvalues.tobytes()
+        assert cold.eigenvectors.tobytes() == warm.eigenvectors.tobytes()
+        assert (cold.sweeps, cold.off_diagonal_norm) == (warm.sweeps, warm.off_diagonal_norm)
+        assert not np.signbit(cold.eigenvalues).any()
+
+
 _HASH_SCRIPT = """
 import hashlib
 

@@ -12,7 +12,6 @@ direction, when backtracking is exhausted, or on a non-finite callback value.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +20,7 @@ import numpy as np
 
 from .directions import DirectionKind, optimal_direction
 from .errors import DimensionMismatchError, InfeasibleStartError
-from .operators import OperatorField, _warm_starts
+from .operators import OperatorField, _local
 from .spectral import SymmetricMatrix, _as_count, _as_vector
 
 #: The budget counts as active when kappa - C(point) drops below this.
@@ -170,7 +169,8 @@ def run_ascent(
     finite nonempty 1-d vector, or a non-finite objective or cost there raises
     ``ValueError``, and a start outside the budget ``InfeasibleStartError``.
     The objective and the cost are evaluated once per point: an accepted
-    candidate's values are logged at the next step.
+    candidate's values are logged at the next step. ``eta`` is stored as a
+    Python float, so every logged step size is one.
 
     An operator built during the run, with the previous step's dimension,
     is decomposed with Jacobi started from the previous step's
@@ -183,6 +183,7 @@ def run_ascent(
     steps = _as_count(steps, "steps", 0)
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
+    eta = float(eta)
     theta = _as_vector(theta0, None, "theta0").copy()  # final_point must not alias theta0
     value = float(objective.evaluate(theta))
     if not math.isfinite(value):
@@ -199,7 +200,9 @@ def run_ascent(
 
     rows: list[TrajectoryStep] = []
     status = "completed"
-    with _warm_starts() as near:
+    previous = getattr(_local, "start", None)
+    _local.start = None
+    try:
         for index in range(steps):
             grad = objective.gradient(theta)
             active = budget is not None and _is_active(budget, cost_value)
@@ -208,7 +211,7 @@ def run_ascent(
             if theta.shape != (operator.dim,):
                 raise DimensionMismatchError(
                     f"operator of dimension {operator.dim} does not match point {theta.shape}")
-            near[0] = operator.spectrum.eigenvectors
+            _local.start = operator.spectrum.eigenvectors
             try:  # the solve checks each vector once, for its shape, then finiteness
                 result = optimal_direction(operator, grad, normal)
             except DimensionMismatchError:
@@ -246,28 +249,23 @@ def run_ascent(
             if next_theta is None:
                 break
             theta, value, cost_value = next_theta, next_value, next_cost
+    finally:
+        _local.start = previous
 
     return TrajectoryRecord(rows, status, theta, value, cost_value)
 
 
 def write_trace_csv(record: TrajectoryRecord, path) -> None:
-    """Write the per-step log as CSV: step, theta..., J, C, gain, kind, eta_eff."""
+    """Write the per-step log as CSV: step, theta..., J, C, gain, kind, eta_eff.
+
+    Numbers after ``step`` are float ``repr``s, ``C`` is empty without a budget, lines end in CRLF.
+    """
     dim = record.final_point.shape[0]
-    header = ["step", *(f"theta_{i}" for i in range(dim)), "J", "C", "gain", "kind",
-              "eta_eff"]
+    lines = [",".join(["step", *(f"theta_{i}" for i in range(dim)), "J,C,gain,kind,eta_eff"])]
+    for row in record.steps:
+        cost = "" if row.cost_value is None else repr(row.cost_value)
+        lines.append(",".join([str(row.step), *map(repr, row.point.tolist()),
+                               repr(row.objective_value), cost, repr(row.first_order_gain),
+                               row.kind.value, repr(row.step_size)]))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in record.steps:
-            cost = "" if row.cost_value is None else repr(row.cost_value)
-            writer.writerow(
-                [
-                    row.step,
-                    *(repr(float(x)) for x in row.point),
-                    repr(row.objective_value),
-                    cost,
-                    repr(row.first_order_gain),
-                    row.kind.value,
-                    repr(row.step_size),
-                ]
-            )
+        handle.write("\r\n".join(lines) + "\r\n")

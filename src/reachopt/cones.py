@@ -296,10 +296,11 @@ def find_gamma_star(
     """Smallest coupling level with a nonempty intersection, from one minimax solve.
 
     No level below the level-0 minimax residual ``r`` is feasible: violations
-    fall one-for-one with the level. If the level-0 minimizer is feasible at
-    ``r`` (so whenever ``r + max h_i <= pi/2``), the bracket is
-    ``(max(0, r - tol/2), r)``; else a cone clamps and ``[min(r, pi/2), pi/2]``
-    is bisected with exact verdicts, so ``low <= high`` always. ``restarts``
+    fall one-for-one with the level. With ``r`` capped at pi/2 (it can round
+    above): if the level-0 minimizer is feasible at ``r`` (so whenever
+    ``r + max h_i <= pi/2``), the bracket is ``(max(0, r - tol/2), r)``; else a
+    cone clamps and ``[r, pi/2]`` is bisected with exact verdicts, so
+    ``low <= high <= pi/2`` always. ``restarts``
     (a positive integer) and ``seed`` (a nonnegative one) are validated for
     call compatibility and do not change the result.
 
@@ -317,13 +318,14 @@ def find_gamma_star(
     solves = 1
     if residual <= FEASIBILITY_TOLERANCE:
         return ThresholdResult(0.0, (0.0, 0.0), witness, 0.0, solves)
-    low, high = max(0.0, residual - tol / 2.0), residual
-    if family.max_violation(witness, residual) > FEASIBILITY_TOLERANCE:
+    high = min(residual, HALF_PI)
+    low = max(0.0, high - tol / 2.0)
+    if family.max_violation(witness, high) > FEASIBILITY_TOLERANCE:
         at_max = is_feasible(family, HALF_PI)
         solves += 1
         if not at_max.feasible:
             raise InfeasibleAtMaxError(at_max.residual)
-        low, high, witness = min(residual, HALF_PI), HALF_PI, at_max.witness
+        low, high, witness = high, HALF_PI, at_max.witness
     while high - low > tol:
         mid = 0.5 * (low + high)
         result = is_feasible(family, mid)

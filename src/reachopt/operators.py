@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -20,10 +19,10 @@ from .spectral import SpectralDecomposition, SymmetricMatrix, _as_count, _as_vec
 
 OperatorField = Callable[[np.ndarray], "ConstraintOperator"]
 
-#: ``near``: inside ``_warm_starts``, a one-slot list with the eigenvectors
-#: that new operators start Jacobi from (``None`` for a cold start). Not a
-#: context variable: while one is set, numpy looks up its error state more
-#: slowly, which cost about 1 us per constant-field ascent step.
+#: ``start``: while ``run_ascent`` runs, the eigenvectors that new operators
+#: start Jacobi from (unset or ``None`` for a cold start). Not a context
+#: variable: while one is set, numpy looks up its error state more slowly,
+#: which cost about 1 us per constant-field ascent step.
 _local = threading.local()
 
 
@@ -42,8 +41,7 @@ class ConstraintOperator:
 
     def __init__(self, matrix) -> None:
         sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
-        near = getattr(_local, "near", None)
-        start = None if near is None else near[0]
+        start = getattr(_local, "start", None)
         if start is not None and start.shape[0] != sym.dim:
             start = None
         self._matrix = sym
@@ -87,17 +85,6 @@ class ConstraintOperator:
         return (
             f"ConstraintOperator(dim={self.dim}, reachable_dim={self.reachable_dim})"
         )
-
-
-@contextmanager
-def _warm_starts() -> Iterator[list]:
-    """Operators built in the block start Jacobi from the eigenvectors put in the yielded slot."""
-    previous = getattr(_local, "near", None)
-    _local.near = near = [None]
-    try:
-        yield near
-    finally:
-        _local.near = previous
 
 
 def constant_field(matrix) -> OperatorField:

@@ -5,11 +5,14 @@ from characteristic-polynomial roots, operator norms from power iteration,
 cone thresholds from the closed-form two-cone geometry, cone minimax values
 from enumerating every small cone subset, and constrained optima from
 brute-force grids. ``jacobi_reference`` keeps the library's earlier
-moving-layout Jacobi solver, whose bits the in-place solver must reproduce.
+moving-layout Jacobi solver, whose bits the in-place solver must reproduce,
+and ``trace_csv_reference`` the earlier ``csv.writer`` trace writer, whose
+bytes the joined-text writer must reproduce.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -269,3 +272,26 @@ def jacobi_reference(
             sweeps += 1
             off = _moving_off_diagonal_norm(state[:, :m])
     return state.diagonal()[:n].copy(), state[:n, m:].T.copy(), sweeps, off
+
+
+def trace_csv_reference(record, path) -> None:
+    """The trace writer as it was built on ``csv.writer``, kept verbatim."""
+    dim = record.final_point.shape[0]
+    header = ["step", *(f"theta_{i}" for i in range(dim)), "J", "C", "gain", "kind",
+              "eta_eff"]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in record.steps:
+            cost = "" if row.cost_value is None else repr(row.cost_value)
+            writer.writerow(
+                [
+                    row.step,
+                    *(repr(float(x)) for x in row.point),
+                    repr(row.objective_value),
+                    cost,
+                    repr(row.first_order_gain),
+                    row.kind.value,
+                    repr(row.step_size),
+                ]
+            )

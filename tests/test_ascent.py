@@ -14,6 +14,8 @@ from reachopt import (
     DirectionKind,
     InfeasibleStartError,
     Objective,
+    TrajectoryRecord,
+    TrajectoryStep,
     budget_from_config,
     constant_field,
     decompose,
@@ -28,6 +30,7 @@ from reachopt import (
     write_trace_csv,
 )
 from conftest import drifting_objective, random_psd, rotating_field
+from oracles import trace_csv_reference
 
 
 class TestObjectives:
@@ -420,6 +423,21 @@ class TestRunAscent:
         assert float(first[3]) == pytest.approx(record.steps[0].objective_value)
         assert first[6] == "optimal"
 
+    @pytest.mark.parametrize("kappa", [None, 0.05], ids=["free", "budget"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_numpy_eta_is_logged_as_a_float(self, dtype, kappa, tmp_path):
+        objective = quadratic_objective(np.eye(2), [3.0, -2.0])
+        field = constant_field(np.diag([1.0, 0.5]))
+        budget = None if kappa is None else spherical_budget(kappa)
+        eta = dtype(0.1)
+        record = run_ascent(objective, field, budget, np.zeros(2), 30, eta)
+        reference = run_ascent(objective, field, budget, np.zeros(2), 30, float(eta))
+        assert all(type(row.step_size) is float for row in record.steps)
+        assert _trajectory(record) == _trajectory(reference)
+        write_trace_csv(record, tmp_path / "numpy.csv")
+        write_trace_csv(reference, tmp_path / "float.csv")
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
 
 def _trajectory(record):
     """Every logged number of a run, for bit-for-bit comparison."""
@@ -459,6 +477,56 @@ class TestLoggedStepsMatchThePublicDirection:
                 assert after_step.tobytes() == after.tobytes()
             else:
                 assert row.point.tobytes() == after.tobytes()
+
+
+def _trace_bytes(write, record, path) -> bytes:
+    write(record, path)
+    return path.read_bytes()
+
+
+class TestTraceBytes:
+    """The joined-text trace writer reproduces the csv.writer bytes."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 8), st.booleans(), st.integers(0, 40),
+        st.sampled_from(["constant", "mask", "point-dependent"]), st.integers(0, 2**32 - 1),
+    )
+    def test_runs_match_the_csv_writer(
+        self, tmp_path_factory, dim, budgeted, steps, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if kind == "constant":
+            field = constant_field(random_psd(rng, dim, int(rng.integers(1, dim + 1))))
+        elif kind == "mask":
+            field = mask_field((rng.random(dim) < 0.7).astype(float))
+        else:
+            field = rotating_field(dim)
+        budget = spherical_budget(0.5) if budgeted else None
+        objective = quadratic_objective(
+            random_psd(rng, dim, dim, 0.5, 2.0), 3.0 * rng.standard_normal(dim)
+        )
+        record = run_ascent(objective, field, budget, np.zeros(dim), steps, 0.05)
+        directory = tmp_path_factory.mktemp("trace")
+        assert _trace_bytes(write_trace_csv, record, directory / "joined.csv") == _trace_bytes(
+            trace_csv_reference, record, directory / "reference.csv")
+
+    @pytest.mark.parametrize("cost", [None, 5e-324], ids=["free", "budget"])
+    def test_extreme_values_match_the_csv_writer(self, cost, tmp_path):
+        point = np.array([-0.0, 5e-324, 1.7976931348623157e308])
+        first = TrajectoryStep(0, point, -0.0, cost, DirectionKind.OPTIMAL, 5e-324,
+                               1.7976931348623157e308, False)
+        # A run stops with a zero step on a degenerate direction or a non-finite candidate.
+        for status, kind in (("degenerate", DirectionKind.DEGENERATE),
+                             ("non-finite", DirectionKind.OPTIMAL)):
+            last = TrajectoryStep(1, -point, 1.7976931348623157e308, cost, kind, 0.0, 0.0,
+                                  cost is not None)
+            record = TrajectoryRecord([first, last], status, -point, 1.7976931348623157e308, cost)
+            joined = _trace_bytes(write_trace_csv, record, tmp_path / "joined.csv")
+            assert joined == _trace_bytes(trace_csv_reference, record, tmp_path / "reference.csv")
+            assert joined.count(b"\r\n") == 3
+            assert b"-0.0,5e-324,1.7976931348623157e+308," in joined
+            assert joined.endswith(f",{kind.value},0.0\r\n".encode())
 
 
 class TestWarmStartedAscent:
@@ -542,6 +610,31 @@ class TestWarmStartedAscent:
         assert built[1].spectrum.sweeps < decompose(built[1].matrix).sweeps
         after = ConstraintOperator(built[-1].matrix).spectrum
         assert after.eigenvectors.tobytes() == decompose(built[-1].matrix).eigenvectors.tobytes()
+
+    def test_a_nested_run_leaves_the_outer_starts_alone(self):
+        dim = 6
+        field = rotating_field(dim)
+        plain, nested = [], []
+
+        def recorded(point):
+            plain.append(field(point))
+            return plain[-1]
+
+        def nesting(point):
+            # A short run of the same dimension, from elsewhere, before the outer operator.
+            run_ascent(drifting_objective(dim), field, None, point + 1.0, 3, 0.01)
+            nested.append(field(point))
+            return nested[-1]
+
+        reference = run_ascent(drifting_objective(dim), recorded, None, np.zeros(dim), 20, 0.01)
+        record = run_ascent(drifting_objective(dim), nesting, None, np.zeros(dim), 20, 0.01)
+        assert _trajectory(record) == _trajectory(reference)  # the final point too
+        assert len(nested) == len(plain) == 20
+        for a, b in zip(nested, plain):
+            assert a.spectrum.eigenvectors.tobytes() == b.spectrum.eigenvectors.tobytes()
+        cold = decompose(nested[0].matrix)
+        assert nested[0].spectrum.eigenvectors.tobytes() == cold.eigenvectors.tobytes()
+        assert nested[1].spectrum.sweeps < cold.sweeps
 
     @pytest.mark.parametrize(
         "matrix, make_field",

@@ -223,15 +223,24 @@ class TestThresholdCommand:
 
     def test_residual_rounded_above_half_pi_keeps_the_bracket_ordered(self, tmp_path, capsys):
         cones = tmp_path / "cones.json"
-        cones.write_text(json.dumps([
-            {"axis": [-1.0, 0.0, -1.0], "half_angle_deg": 0.0},
-            {"axis": [-1.0, 0.0, 0.0], "half_angle_deg": 45.0},
-            {"axis": [1.0, 0.0, 1.0], "half_angle_deg": 0.0},
-        ]))
-        assert main(["threshold", "--cones", str(cones), "--tol", "1e-4"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["bracket"][0] <= payload["bracket"][1]
-        assert payload["tolerance"] >= 0.0
+        for family in (
+            [
+                {"axis": [-1.0, 0.0, -1.0], "half_angle_deg": 0.0},
+                {"axis": [-1.0, 0.0, 0.0], "half_angle_deg": 45.0},
+                {"axis": [1.0, 0.0, 1.0], "half_angle_deg": 0.0},
+            ],
+            [
+                {"axis": [0.0, -1.0], "half_angle_deg": 30.0},
+                {"axis": [1.0, -1.0], "half_angle_deg": 0.0},
+                {"axis": [-1.0, 1.0], "half_angle_deg": 0.0},
+            ],
+        ):
+            cones.write_text(json.dumps(family))
+            assert main(["threshold", "--cones", str(cones), "--tol", "1e-4"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["bracket"][0] <= payload["bracket"][1]
+            assert payload["tolerance"] >= 0.0
+            assert payload["gamma_star"] <= math.pi / 2
 
 
 class TestPhiCurveCommand:

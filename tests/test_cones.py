@@ -353,15 +353,20 @@ class TestFindGammaStar:
         assert family.max_violation(result.witness, hi) <= 1e-9
 
     def test_residual_rounded_above_half_pi_keeps_the_bracket_ordered(self):
-        # The level-0 residual rounds one ulp above pi/2, and a cone clamps.
-        family = CouplingFamily((cone([-1.0, 0.0, -1.0], 0.0), cone([-1.0, 0.0, 0.0], 45.0),
-                                 cone([1.0, 0.0, 1.0], 0.0)))
-        result = find_gamma_star(family, 1e-4)
-        low, high = result.bracket
-        assert low <= high
-        assert result.tolerance >= 0.0
-        assert result.gamma_star == cones.HALF_PI
-        assert family.max_violation(result.witness, cones.HALF_PI) <= FEASIBILITY_TOLERANCE
+        # The level-0 residual rounds one ulp above pi/2. In the first family a cone
+        # clamps; in the second the level-0 minimizer stays feasible there.
+        for family in (
+            CouplingFamily((cone([-1.0, 0.0, -1.0], 0.0), cone([-1.0, 0.0, 0.0], 45.0),
+                            cone([1.0, 0.0, 1.0], 0.0))),
+            CouplingFamily((cone([0.0, -1.0], 30.0), cone([1.0, -1.0], 0.0),
+                            cone([-1.0, 1.0], 0.0))),
+        ):
+            result = find_gamma_star(family, 1e-4)
+            low, high = result.bracket
+            assert low <= high
+            assert result.tolerance >= 0.0
+            assert result.gamma_star == cones.HALF_PI
+            assert family.max_violation(result.witness, cones.HALF_PI) <= FEASIBILITY_TOLERANCE
 
     def test_antipodal_needle_cones(self):
         family = CouplingFamily(

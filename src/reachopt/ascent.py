@@ -154,23 +154,23 @@ def run_ascent(
 ) -> TrajectoryRecord:
     """Run fixed-step ascent from ``theta0`` and log every iteration.
 
-    Status is ``"completed"`` after the full step budget, ``"degenerate"``
-    when no ascent direction remains, ``"budget-stall"`` when even
+    Status is ``"completed"`` after the full step budget, ``"degenerate"`` when
+    no ascent direction remains, ``"budget-stall"`` when even
     ``BACKTRACK_LIMIT`` halvings of the step cannot keep the cost under the
     cap, and ``"non-finite"`` when a callback returns a non-finite value. A
     gradient, or a cost gradient where the budget is active, of another shape
     than the point raises ``DimensionMismatchError``, as does an operator of
-    another dimension; a non-finite one stops the run at that iterate
-    without logging or leaving it, after the field has been called there; a
-    non-finite cost or objective at a candidate stops it at the current
-    iterate, logged with step size 0, so no logged row or final field holds
-    a non-finite value. A negative ``steps`` (``TypeError`` if not an integer),
-    an ``eta`` that is not positive and finite, a ``theta0`` that is not a
-    finite nonempty 1-d vector, or a non-finite objective or cost there raises
-    ``ValueError``, and a start outside the budget ``InfeasibleStartError``.
-    The objective and the cost are evaluated once per point: an accepted
-    candidate's values are logged at the next step. ``eta`` is stored as a
-    Python float, so every logged step size is one.
+    another dimension; a non-finite one stops the run at that iterate without
+    logging or leaving it, after the field has been called there; a non-finite
+    cost or objective at a candidate stops it at the current iterate, logged
+    with step size 0, so no logged row or final field holds a non-finite value.
+    A negative ``steps`` (``TypeError`` if not an integer), an ``eta`` that is
+    not positive and finite (``TypeError`` if a bool), a ``theta0`` that is not
+    a finite nonempty 1-d vector, or a non-finite objective or cost there
+    raises ``ValueError``, and a start outside the budget
+    ``InfeasibleStartError``. The objective and the cost are evaluated once per
+    point: an accepted candidate's values are logged at the next step. ``eta``
+    is stored as a Python float, so every logged step size is one.
 
     An operator built during the run, with the previous step's dimension,
     is decomposed with Jacobi started from the previous step's
@@ -181,6 +181,8 @@ def run_ascent(
     run carries that run's bits into later runs.
     """
     steps = _as_count(steps, "steps", 0)
+    if isinstance(eta, (bool, np.bool_)):
+        raise TypeError(f"eta must be a number, not a bool, got {eta!r}")
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
     eta = float(eta)

@@ -7,6 +7,7 @@ Subcommands: ``direction``, ``compress``, ``threshold``, ``phi-curve``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -164,9 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ReachoptError, ValueError, OSError) as exc:

@@ -406,6 +406,19 @@ class TestRunAscent:
             with pytest.raises(ValueError):
                 run_ascent(objective, field, None, np.zeros(2), 10, eta)
 
+    def test_bool_eta_is_a_type_error_like_a_bool_steps(self):
+        objective = quadratic_objective(np.eye(2), [3.0, -2.0])
+        field = constant_field(np.eye(2))
+        for eta in (True, np.True_):
+            with pytest.raises(TypeError, match="eta"):
+                run_ascent(objective, field, None, np.zeros(2), 2, eta)
+        with pytest.raises(TypeError, match="steps"):
+            run_ascent(objective, field, None, np.zeros(2), True, 0.1)
+        for eta in (1, 0.1, np.float32(0.1), np.float64(0.1)):
+            record = run_ascent(objective, field, None, np.zeros(2), 2, eta)
+            assert record.steps[0].step_size == float(eta)
+            assert type(record.steps[0].step_size) is float
+
     def test_trace_csv_roundtrip(self, tmp_path):
         objective = quadratic_objective(np.eye(2), [0.3, -0.2])
         budget = spherical_budget(1.0)

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import math
 import os
@@ -5,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from reachopt.cli import main
+from reachopt.cli import build_parser, main
 
 
 @pytest.fixture
@@ -607,3 +609,72 @@ def test_key_error_inside_a_command_propagates(matrix_file, gradient_file, monke
     monkeypatch.setattr("reachopt.io.load_matrix", broken)
     with pytest.raises(KeyError):
         main(["direction", "--operator", matrix_file, "--gradient", gradient_file])
+
+
+@pytest.fixture
+def valid_calls(matrix_file, gradient_file, cones_file, tmp_path):
+    """One valid argv for each subcommand, keyed by its name."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_run_config(out=str(tmp_path / "trace.csv"))))
+    return {
+        "direction": ["direction", "--operator", matrix_file, "--gradient", gradient_file],
+        "compress": ["compress", "--operator", matrix_file, "--gradient", gradient_file,
+                     "--k", "1"],
+        "threshold": ["threshold", "--cones", cones_file, "--tol", "1e-4"],
+        "phi-curve": ["phi-curve", "--cones", cones_file, "--gamma-max", "1.0", "--steps", "3",
+                      "--samples", "500", "--seed", "1"],
+        "optimize": ["optimize", "--config", str(config)],
+    }
+
+
+class TestOneParserPerProcess:
+    def test_warm_calls_construct_no_parser(self, valid_calls, monkeypatch):
+        assert main(valid_calls["direction"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for command, argv in valid_calls.items():
+            assert main(argv) == 0, command
+            assert built == [], command
+
+    def test_a_warm_call_leaves_no_argparse_garbage(self, valid_calls):
+        argv = valid_calls["phi-curve"]
+        assert main(argv) == 0
+        flags = gc.get_debug()
+        gc.collect()
+        before = len(gc.garbage)
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+        finally:
+            gc.set_debug(flags)
+            saved = gc.garbage[before:]
+            del gc.garbage[before:]
+        assert [type(obj) for obj in saved if type(obj).__module__ == "argparse"] == []
+
+    def test_an_argparse_error_leaves_later_calls_unchanged(self, valid_calls, cones_file,
+                                                            matrix_file, gradient_file, capsys):
+        alone = {}
+        for command, argv in valid_calls.items():
+            alone[command] = (main(argv), capsys.readouterr().out)
+        bad = {
+            "required: --tol": ["threshold", "--cones", cones_file],
+            "--eps: not allowed with argument --k": [
+                "compress", "--operator", matrix_file, "--gradient", gradient_file,
+                "--k", "1", "--eps", "0.1"],
+        }
+        for message, argv in bad.items():
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
+        for command, argv in valid_calls.items():
+            assert (main(argv), capsys.readouterr().out) == alone[command], command
+        assert build_parser() is not build_parser()

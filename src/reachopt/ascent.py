@@ -21,7 +21,7 @@ import numpy as np
 from .directions import DirectionKind, optimal_direction
 from .errors import DimensionMismatchError, InfeasibleStartError
 from .operators import OperatorField, _local
-from .spectral import SymmetricMatrix, _as_count, _as_vector
+from .spectral import SymmetricMatrix, _as_count, _as_real, _as_vector
 
 #: The budget counts as active when kappa - C(point) drops below this.
 ACTIVATION_TOLERANCE = 1e-8
@@ -60,7 +60,7 @@ def quadratic_objective(matrix, linear) -> Objective:
 
 def rosenbrock_objective(scale: float = 100.0) -> Objective:
     """Negated 2-d Rosenbrock valley, so that ascent targets the maximum at (1, 1)."""
-    scale = float(scale)
+    scale = float(_as_real(scale, "scale"))
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
 
@@ -82,15 +82,16 @@ def rosenbrock_objective(scale: float = 100.0) -> Objective:
 
 @dataclass(frozen=True)
 class BudgetConstraint:
-    """Cost functional with its gradient and the budget cap ``kappa``."""
+    """Cost functional with its gradient and the budget cap ``kappa``, stored as a float."""
 
     cost: Callable[[np.ndarray], float]
     cost_gradient: Callable[[np.ndarray], np.ndarray]
     kappa: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.kappa < math.inf:
+        if not 0.0 < _as_real(self.kappa, "kappa") < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
+        object.__setattr__(self, "kappa", float(self.kappa))
 
 
 def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
@@ -114,7 +115,7 @@ def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
     def cost_gradient(point: np.ndarray) -> np.ndarray:
         return 2.0 * shift(point)
 
-    return BudgetConstraint(cost, cost_gradient, float(kappa))
+    return BudgetConstraint(cost, cost_gradient, float(_as_real(kappa, "kappa")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +182,7 @@ def run_ascent(
     run carries that run's bits into later runs.
     """
     steps = _as_count(steps, "steps", 0)
-    if isinstance(eta, (bool, np.bool_)):
-        raise TypeError(f"eta must be a number, not a bool, got {eta!r}")
-    if not 0.0 < eta < math.inf:
+    if not 0.0 < _as_real(eta, "eta") < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
     eta = float(eta)
     theta = _as_vector(theta0, None, "theta0").copy()  # final_point must not alias theta0

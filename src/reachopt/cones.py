@@ -5,10 +5,12 @@ coupling family enlarges every cone's half-angle additively with a coupling
 level ``gamma``, clamped at a right angle, so that level 0 is the identity
 and the enlarged cones nest as the level grows. Feasibility of the coupled
 intersection is decided on the unit sphere by an exact active-set minimax
-of the worst angular violation over closed-form balance points. Every
-violation falls one-for-one with the level until its cone clamps, so the
-infimum level at which the intersection becomes nonempty is the level-0
-minimax residual; only a clamp on the way calls for bisection.
+of the worst angular violation over closed-form balance points; a family of
+at most ``dim`` cones is first tried whole, and a balance point whose
+multipliers certify it ends the solve at once. Every violation falls
+one-for-one with the level until its cone clamps, so the infimum level at
+which the intersection becomes nonempty is the level-0 minimax residual;
+only a clamp on the way calls for bisection.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import InfeasibleAtMaxError
-from .spectral import _as_count, _as_vector
+from .spectral import _as_count, _as_real, _as_vector
 
 HALF_PI = math.pi / 2.0
 
@@ -72,7 +74,7 @@ class CircularCone:
             raise ValueError("axis must have dimension at least 2")
         axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
-        angle = float(self.half_angle)
+        angle = float(_as_real(self.half_angle, "half_angle"))
         if not 0.0 <= angle <= HALF_PI + 1e-12:
             raise ValueError(
                 f"half_angle must lie in [0, pi/2], got {angle}"
@@ -112,8 +114,9 @@ class CouplingFamily:
         return np.stack([cone.axis for cone in self.base_cones])
 
     def enlarged_half_angles(self, gamma: float) -> np.ndarray:
-        """Half-angles at coupling level ``gamma``; a negative or NaN level raises."""
-        if not gamma >= 0.0:
+        """Half-angles at coupling level ``gamma``; a negative or NaN level raises
+        ``ValueError``, a ``bool`` ``TypeError``."""
+        if not _as_real(gamma, "gamma") >= 0.0:
             raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
         base = np.array([cone.half_angle for cone in self.base_cones])
         return np.minimum(base + gamma, HALF_PI)
@@ -132,7 +135,8 @@ class FeasibilityResult:
     ``residual`` is the worst violation attained at the solver's point. It is
     the exact minimax wherever every h_i + residual <= pi/2, which holds for
     every feasible family; elsewhere it is a value attained at a point. The
-    verdict is exact at every level. ``pivots`` counts active-set pivots.
+    verdict is exact at every level. ``pivots`` counts active-set pivots: 1
+    when the whole family's balance point certifies itself as the minimax.
     """
 
     feasible: bool
@@ -169,7 +173,9 @@ def _balance_points(axes: np.ndarray, halves: np.ndarray) -> tuple[np.ndarray, n
     A one-dimensional null space ν pins u = νᵀp / νᵀq, and the rest of the
     unit norm goes orthogonal to the span. Also returns, per point, whether
     its multipliers (y, or ν) share one sign: a KKT certificate where the
-    violations balance. Callers score each point by what it attains.
+    violations balance. Callers score each point by what it attains. Takes
+    at most ``dim`` rows, as every subset the solver builds has: ``dim + 1``
+    rows of rank ``dim`` leave no direction orthogonal to their span.
     """
     count = axes.shape[0]
     left, sigma, right = np.linalg.svd(axes)
@@ -201,16 +207,33 @@ def _balance_points(axes: np.ndarray, halves: np.ndarray) -> tuple[np.ndarray, n
     return np.concatenate([points, -points]), certified
 
 
+def _balance_scores(
+    axes: np.ndarray, half_angles: np.ndarray, subset: list[int], pool: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Balance points of ``subset``, their violations on every cone, and which stop.
+
+    A point stops the search when its multipliers are certified, no ``pool``
+    cone exceeds its level and it lies in the convex regime (level plus every
+    subset half-angle within pi/2): it is then the pool's exact minimax.
+    """
+    points, certified = _balance_points(axes[subset], half_angles[subset])
+    violations = _violations(points, axes, half_angles)
+    level = violations[:, subset].min(axis=1)
+    done = certified & (level >= violations[:, pool].max(axis=1) - _LEVEL_SLACK)
+    done &= level + half_angles[subset].max() <= HALF_PI
+    return points, violations, done
+
+
 def _pivot(
     axes: np.ndarray, half_angles: np.ndarray, basis: frozenset[int], entering: int
 ) -> tuple[float, frozenset[int], np.ndarray, np.ndarray]:
     """Minimax of the pool (basis plus entering cone) over subsets holding that cone.
 
-    Subsets go largest first; a certified convex-regime balance point that no
-    pool cone exceeds is the pool's minimax and ends the search. Else the
-    least worst violation over the pool wins, which is exact in the convex
-    regime too: the optimal multipliers live on at most ``dim`` cones, the
-    entering one among them unless another point tied the old level.
+    Subsets go largest first; a point that ``_balance_scores`` lets stop is
+    the pool's minimax and ends the search. Else the least worst violation
+    over the pool wins, which is exact in the convex regime too: the optimal
+    multipliers live on at most ``dim`` cones, the entering one among them
+    unless another point tied the old level.
     Returns the level, the new basis, its point and its violations.
     """
     pool = sorted(basis) + [entering]
@@ -218,11 +241,7 @@ def _pivot(
     owners, blocks = [], []
     for rest in chain.from_iterable(combinations(pool[:-1], size) for size in sizes):
         subset = [*rest, entering]
-        points, certified = _balance_points(axes[subset], half_angles[subset])
-        violations = _violations(points, axes, half_angles)
-        level = violations[:, subset].min(axis=1)
-        done = certified & (level >= violations[:, pool].max(axis=1) - _LEVEL_SLACK)
-        done &= level + half_angles[subset].max() <= HALF_PI
+        points, violations, done = _balance_scores(axes, half_angles, subset, pool)
         owners.extend([frozenset(subset)] * points.shape[0])
         blocks.append((points, violations))
         if done.any():
@@ -241,8 +260,11 @@ def _minimize_max_violation(
 ) -> tuple[float, np.ndarray, int]:
     """Active-set minimax of the worst angular violation over the unit sphere.
 
-    Starts from the best axis as a one-cone basis and pivots in the
-    most-violated cone until none exceeds the basis level. In the convex
+    A family of 2 to ``dim`` cones first tries itself whole, as the basis a
+    search mostly ends on: if one of its balance points passes the stop test
+    of ``_balance_scores``, that point is the exact minimax after one pivot.
+    Else the search starts from the best axis as a one-cone basis and pivots in
+    the most-violated cone until none exceeds the basis level. In the convex
     regime (every h_i + level <= pi/2) each level is its subfamily's exact
     minimax, so levels rise and the stop is a certificate: the basis point's
     nonnegative multipliers prove no point does better. Past it levels need
@@ -251,6 +273,13 @@ def _minimize_max_violation(
     """
     axes = family.axes_matrix()
     half_angles = family.enlarged_half_angles(gamma)
+    if 2 <= axes.shape[0] <= axes.shape[1]:
+        whole = list(range(axes.shape[0]))
+        points, violations, done = _balance_scores(axes, half_angles, whole, whole)
+        if done.any():
+            scores = violations.max(axis=1)
+            best = int(np.argmin(scores))
+            return float(scores[best]), points[best], 1
     at_axes = _violations(axes, axes, half_angles)
     start = int(np.argmin(at_axes.max(axis=1)))
     basis, point, violations = frozenset([start]), axes[start], at_axes[start]
@@ -279,7 +308,7 @@ def is_feasible(family: CouplingFamily, gamma: float) -> FeasibilityResult:
     not: a feasible family's minimizer has every h_i + residual <= pi/2, the
     convex regime where the solver is exact and an infeasible verdict stops on
     a nonnegative-multiplier certificate. A negative or NaN ``gamma`` raises
-    ``ValueError``.
+    ``ValueError``, a ``bool`` ``TypeError``.
     """
     residual, point, pivots = _minimize_max_violation(family, gamma)
     feasible = residual <= FEASIBILITY_TOLERANCE
@@ -300,9 +329,10 @@ def find_gamma_star(
     above): if the level-0 minimizer is feasible at ``r`` (so whenever
     ``r + max h_i <= pi/2``), the bracket is ``(max(0, r - tol/2), r)``; else a
     cone clamps and ``[r, pi/2]`` is bisected with exact verdicts, so
-    ``low <= high <= pi/2`` always. ``restarts``
-    (a positive integer) and ``seed`` (a nonnegative one) are validated for
-    call compatibility and do not change the result.
+    ``low <= high <= pi/2`` always. A ``tol`` that is not positive raises
+    ``ValueError``, a ``bool`` ``TypeError``. ``restarts`` (a positive
+    integer) and ``seed`` (a nonnegative one) are validated for call
+    compatibility and do not change the result.
 
     Raises
     ------
@@ -310,7 +340,7 @@ def find_gamma_star(
         If the cones share no direction even at maximal coupling, where all
         of them have opened into half-space cones.
     """
-    if not tol > 0.0:
+    if not _as_real(tol, "tol") > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     _as_count(restarts, "restarts", 1)
     _as_count(seed, "seed", 0)
@@ -360,9 +390,10 @@ def phi_curve(
     gives the same estimates across versions. Each sample is counted from the
     one level at which it enters every enlarged cone, so the estimated curve is
     exactly monotone nondecreasing. A negative or NaN level raises
-    ``ValueError``; ``samples`` and ``seed`` are checked as counts.
+    ``ValueError``, a ``bool`` ``TypeError``; ``samples`` and ``seed`` are
+    checked as counts.
     """
-    grid = [float(g) for g in gammas]
+    grid = [float(_as_real(g, "gamma")) for g in gammas]
     if not (grid and grid[0] >= 0.0 and all(b > a for a, b in zip(grid, grid[1:]))):
         raise ValueError(
             f"gamma grid must be nonempty, nonnegative and strictly ascending, "

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (SpectralDecomposition, SymmetricMatrix, _as_count, _as_vector,
-                       _reciprocal_outer_sum)
+from .spectral import (SpectralDecomposition, SymmetricMatrix, _as_count, _as_real,
+                       _as_vector, _reciprocal_outer_sum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +109,7 @@ def smallest_k_for_error(decomposition: SpectralDecomposition, eps: float) -> in
     Monotone nonincreasing in ``eps``; returns the full rank when no proper
     truncation meets the bound.
     """
-    if not eps > 0.0:
+    if not _as_real(eps, "eps") > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     # A cut meets eps when 1/lambda of its smallest omitted eigenvalue does, the
     # division op_error makes; 1/lambda ascends along the modes, so those cuts are a prefix.

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, SymmetricMatrix, _as_count, _as_vector, decompose
+from .spectral import (SpectralDecomposition, SymmetricMatrix, _as_count, _as_real, _as_vector,
+                       decompose)
 
 OperatorField = Callable[[np.ndarray], "ConstraintOperator"]
 
@@ -105,7 +106,7 @@ def diag_decay_field(dim: int, scale: float, ratio: float) -> OperatorField:
     """
     dim = _as_count(dim, "dim", 1)
     for key, value in (("scale", scale), ("ratio", ratio)):
-        if not 0.0 < value < math.inf:
+        if not 0.0 < _as_real(value, key) < math.inf:
             raise ValueError(f"{key} must be positive and finite, got {value!r}")
     with np.errstate(over="ignore"):
         diagonal = scale * np.power(float(ratio), np.arange(dim, dtype=float))

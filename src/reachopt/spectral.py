@@ -75,6 +75,14 @@ def _as_count(value, name: str, low: int) -> int:
     return operator.index(value)
 
 
+def _as_real(value, name: str):
+    """``value`` as given, unless it is a ``bool`` (or ``np.bool_``), which raises
+    ``TypeError``; ``name`` labels the error. Callers check the range."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, not a bool, got {value!r}")
+    return value
+
+
 class SymmetricMatrix:
     """Real symmetric matrix.
 

@@ -51,6 +51,19 @@ def count_solves(monkeypatch):
     return levels
 
 
+def count_balance_solves(monkeypatch):
+    """Record the number of cones in every balance-point solve."""
+    sizes = []
+    solve = cones._balance_points
+
+    def counted(axes, halves):
+        sizes.append(axes.shape[0])
+        return solve(axes, halves)
+
+    monkeypatch.setattr(cones, "_balance_points", counted)
+    return sizes
+
+
 def two_cone_family(seed, dim, half1, half2, spread):
     """Two cones whose axes are ``spread`` apart, in a seeded random orientation."""
     rng = np.random.default_rng(seed)
@@ -331,6 +344,59 @@ class TestIsFeasible:
         if np.all(limits + value <= math.pi / 2):
             assert result.residual == pytest.approx(value, abs=1e-10)
             assert result.pivots < DEFAULT_ITERATIONS
+
+
+class TestWholeFamilyFirst:
+    """A family of at most ``dim`` cones is first tried whole, and kept only when
+    its own balance point certifies itself; else the axis-start search runs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("offset", [-0.01, 0.01])
+    def test_centred_family_certifies_itself_in_one_solve(self, monkeypatch, seed, offset):
+        answer = 0.2
+        family = centred_family(seed, 6, 4, answer)
+        gamma = answer + offset
+        value, _ = enumerated_minimax(family.axes_matrix(), family.enlarged_half_angles(gamma))
+        sizes = count_balance_solves(monkeypatch)
+        result = is_feasible(family, gamma)
+        assert sizes == [4]
+        assert result.pivots == 1
+        assert result.feasible == (value <= FEASIBILITY_TOLERANCE)
+        assert result.residual == pytest.approx(value, abs=1e-12)
+        assert result.residual == pytest.approx(-offset, abs=1e-12)
+
+    def test_wide_cone_holding_the_others_minimax_falls_back_to_the_search(self, monkeypatch):
+        # The two narrow cones balance at the midpoint of their axes, deep inside
+        # the wide cone, so the whole family has no certified balance point.
+        family = CouplingFamily(
+            (cone(planar_axis(-30.0), 10.0), cone(planar_axis(30.0), 10.0),
+             cone([1.0, 0.0, 0.2], 60.0))
+        )
+        axes, limits = family.axes_matrix(), family.enlarged_half_angles(0.0)
+        whole = [0, 1, 2]
+        assert not cones._balance_scores(axes, limits, whole, whole)[2].any()
+        value, _ = enumerated_minimax(axes, limits)
+        sizes = count_balance_solves(monkeypatch)
+        result = is_feasible(family, 0.0)
+        assert sizes[0] == 3 and len(sizes) > 1
+        assert not result.feasible
+        assert result.residual == pytest.approx(value, abs=1e-12)
+        assert result.residual == pytest.approx(math.radians(20.0), abs=1e-12)
+
+    def test_more_cones_than_dimensions_skip_the_shortcut(self, monkeypatch):
+        # Three planar cones in the plane: a rank-2 set of three rows has no
+        # balance point of its own, so the whole family is never tried.
+        family = CouplingFamily(
+            (cone(planar_axis(0.0, 2), 10.0), cone(planar_axis(60.0, 2), 15.0),
+             cone(planar_axis(130.0, 2), 20.0))
+        )
+        value, _ = enumerated_minimax(family.axes_matrix(), family.enlarged_half_angles(0.0))
+        sizes = count_balance_solves(monkeypatch)
+        result = find_gamma_star(family, 1e-4)
+        assert sizes and max(sizes) <= 2
+        assert result.solves == 1
+        assert result.gamma_star == pytest.approx(value, abs=1e-12)
+        assert result.gamma_star == pytest.approx(math.radians(50.0), abs=1e-12)
 
 
 class TestFindGammaStar:

@@ -1,8 +1,9 @@
-"""Every vector and every count a public entry point takes is checked the same way.
+"""Every vector, count and real number a public entry point takes is checked the same way.
 
 A vector must be a finite 1-d float array of the expected length (any nonempty
 length where none is fixed); a count must be an ``int`` (not a ``bool``, not a
-float, even an integral one) of at least 0 or 1. The errors name the parameter.
+float, even an integral one) of at least 0 or 1; a real number must not be a
+``bool``. The errors name the parameter.
 """
 
 import json
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from reachopt import (
+    BudgetConstraint,
     CircularCone,
     CouplingFamily,
     DimensionMismatchError,
@@ -21,12 +23,14 @@ from reachopt import (
     decompose,
     diag_decay_field,
     find_gamma_star,
+    is_feasible,
     mask_field,
     phi,
     phi_curve,
     rosenbrock_objective,
     run_ascent,
     sample_unit_effort,
+    smallest_k_for_error,
     spherical_budget,
     truncate,
 )
@@ -35,8 +39,8 @@ from reachopt.cli import main
 FAMILY = CouplingFamily((CircularCone([1.0, 0.0], 0.1), CircularCone([0.0, 1.0], 0.1)))
 
 
-def _ascent(theta0=(0.0, 0.0), steps=1):
-    return run_ascent(rosenbrock_objective(), constant_field(np.eye(2)), None, theta0, steps, 0.01)
+def _ascent(theta0=(0.0, 0.0), steps=1, eta=0.01):
+    return run_ascent(rosenbrock_objective(), constant_field(np.eye(2)), None, theta0, steps, eta)
 
 
 VECTORS = {
@@ -135,3 +139,43 @@ def test_phi_curve_seed_is_checked_as_a_count(value, error):
 
 def test_phi_curve_takes_a_numpy_integer_seed():
     assert phi_curve(FAMILY, [0.5], 10, np.int64(3)) == phi_curve(FAMILY, [0.5], 10, 3)
+
+
+def _budget(kappa):
+    return BudgetConstraint(lambda x: 0.0, lambda x: np.zeros_like(x), kappa)
+
+
+# Keyed by entry point, each with the name of its real-valued parameter.
+REALS = {
+    "is_feasible": ("gamma", lambda v: is_feasible(FAMILY, v)),
+    "max_violation": ("gamma", lambda v: FAMILY.max_violation([1.0, 0.0], v)),
+    "phi": ("gamma", lambda v: phi(FAMILY, v, 10, 0)),
+    "find_gamma_star": ("tol", lambda v: find_gamma_star(FAMILY, v)),
+    "CircularCone": ("half_angle", lambda v: CircularCone([1.0, 0.0], v)),
+    "BudgetConstraint": ("kappa", _budget),
+    "spherical_budget": ("kappa", spherical_budget),
+    "smallest_k_for_error": ("eps", lambda v: smallest_k_for_error(decompose(np.eye(3)), v)),
+    "rosenbrock_objective": ("scale", rosenbrock_objective),
+    "diag_decay_field-scale": ("scale", lambda v: diag_decay_field(2, v, 0.5)),
+    "diag_decay_field-ratio": ("ratio", lambda v: diag_decay_field(2, 1.0, v)),
+    "run_ascent": ("eta", lambda v: _ascent(eta=v)),
+}
+
+
+@pytest.mark.parametrize("entry", REALS)
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_real_that_is_a_bool_raises_type_error(entry, value):
+    name, call = REALS[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be a number, not a bool"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", REALS)
+@pytest.mark.parametrize("value", [1, np.float64(0.5)], ids=["int", "numpy-float"])
+def test_real_takes_an_int_and_a_numpy_float(entry, value):
+    REALS[entry][1](value)
+
+
+def test_budget_stores_kappa_as_a_float():
+    assert type(_budget(2).kappa) is float
+    assert type(_budget(np.float64(0.5)).kappa) is float

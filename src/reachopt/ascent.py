@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .directions import DirectionKind, optimal_direction
+from .directions import DirectionKind, _solve
 from .errors import DimensionMismatchError, InfeasibleStartError
 from .operators import OperatorField, _local
 from .spectral import SymmetricMatrix, _as_count, _as_real, _as_vector
@@ -120,6 +120,11 @@ def spherical_budget(kappa: float, center=None) -> BudgetConstraint:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryStep:
+    """One logged iterate: its index, the point itself (the run's own array, shared
+    with no other row), the objective and cost there (``None`` without a budget), the
+    direction's kind and gain, the step size taken (0 where a run halts) and whether
+    the budget was active."""
+
     step: int
     point: np.ndarray
     objective_value: float
@@ -173,6 +178,12 @@ def run_ascent(
     point: an accepted candidate's values are logged at the next step. ``eta``
     is stored as a Python float, so every logged step size is one.
 
+    Each step solves with ``optimal_direction``'s one solve, without building its
+    result, so a row's kind and gain are that result's bit for bit. A field's
+    operator is checked only when it is not the previous step's object. A row
+    holds its iterate itself, which the run never writes into; ``final_point``
+    is its own array, neither a row's point nor ``theta0``.
+
     An operator built during the run, with the previous step's dimension,
     is decomposed with Jacobi started from the previous step's
     eigenvectors, which need fewer sweeps when the basis turns little per
@@ -200,21 +211,25 @@ def run_ascent(
             )
 
     rows: list[TrajectoryStep] = []
+    log, gradient, evaluate = rows.append, objective.gradient, objective.evaluate
     status = "completed"
+    last = object()  # the field's operator at the previous step; no field returns this one
     previous = getattr(_local, "start", None)
     _local.start = None
     try:
         for index in range(steps):
-            grad = objective.gradient(theta)
+            grad = gradient(theta)
             active = budget is not None and _is_active(budget, cost_value)
             normal = budget.cost_gradient(theta) if active else None
             operator = operator_field(theta)
-            if theta.shape != (operator.dim,):
-                raise DimensionMismatchError(
-                    f"operator of dimension {operator.dim} does not match point {theta.shape}")
-            _local.start = operator.spectrum.eigenvectors
+            if operator is not last:  # a constant field's operator is checked once
+                if theta.shape != (operator.dim,):
+                    raise DimensionMismatchError(
+                        f"operator of dimension {operator.dim} does not match point {theta.shape}")
+                _local.start, modes = operator.spectrum.eigenvectors, operator._modes
+                last = operator
             try:  # the solve checks each vector once, for its shape, then finiteness
-                result = optimal_direction(operator, grad, normal)
+                kind, direction, gain, _ = _solve(modes, grad, normal)
             except DimensionMismatchError:
                 raise
             except ValueError:
@@ -222,14 +237,14 @@ def run_ascent(
                 break
 
             step_size, next_theta, next_cost = 0.0, None, None
-            if result.kind is DirectionKind.DEGENERATE:
+            if kind is DirectionKind.DEGENERATE:
                 status = "degenerate"
             elif budget is None:
-                step_size, next_theta = eta, theta + eta * result.direction
+                step_size, next_theta = eta, theta + eta * direction
             else:
                 trial = eta
                 for _ in range(BACKTRACK_LIMIT + 1):
-                    candidate = theta + trial * result.direction
+                    candidate = theta + trial * direction
                     candidate_cost = float(budget.cost(candidate))
                     if not math.isfinite(candidate_cost):
                         status = "non-finite"
@@ -241,13 +256,13 @@ def run_ascent(
                 else:
                     status = "budget-stall"
             if next_theta is not None:
-                next_value = float(objective.evaluate(next_theta))
+                next_value = float(evaluate(next_theta))
                 if not math.isfinite(next_value):
                     status, step_size, next_theta = "non-finite", 0.0, None
 
-            rows.append(TrajectoryStep(index, theta.copy(), value, cost_value, result.kind,
-                                       result.first_order_gain, step_size, active))
+            log(TrajectoryStep(index, theta, value, cost_value, kind, gain, step_size, active))
             if next_theta is None:
+                theta = theta.copy()  # the final point is not the last row's
                 break
             theta, value, cost_value = next_theta, next_value, next_cost
     finally:
@@ -263,10 +278,10 @@ def write_trace_csv(record: TrajectoryRecord, path) -> None:
     """
     dim = record.final_point.shape[0]
     lines = [",".join(["step", *(f"theta_{i}" for i in range(dim)), "J,C,gain,kind,eta_eff"])]
+    line = "%d" + ",%r" * (dim + 1) + ",%s,%r,%s,%r"  # the cost cell is "" or a repr
     for row in record.steps:
         cost = "" if row.cost_value is None else repr(row.cost_value)
-        lines.append(",".join([str(row.step), *map(repr, row.point.tolist()),
-                               repr(row.objective_value), cost, repr(row.first_order_gain),
-                               row.kind.value, repr(row.step_size)]))
+        lines.append(line % (row.step, *row.point.tolist(), row.objective_value, cost,
+                             row.first_order_gain, row.kind.value, row.step_size))
     with open(path, "w", newline="") as handle:
         handle.write("\r\n".join(lines) + "\r\n")

@@ -21,7 +21,7 @@ from operator import mul
 import numpy as np
 
 from .operators import ConstraintOperator
-from .spectral import _as_count, _as_vector
+from .spectral import _as_count, _vector_entries
 
 #: The one degeneracy rule: the operator-gradient product over the retained
 #: modes must exceed this level relative to the largest eigenvalue times |g|.
@@ -49,20 +49,20 @@ class DirectionResult:
     weighted_gradient_norm: float
 
 
-def _scaled_coefficients(basis: np.ndarray, top: float, vector: np.ndarray):
-    """(c, e, level): c = U_r'v / 2^e, 2^e the power of two of max|v_i|, so the
-    division is exact; level is the degeneracy bar of v / 2^e, for the scaled
-    largest eigenvalue ``top``."""
+def _scaled_coefficients(basis_t: np.ndarray, top: float, vector: np.ndarray, entries: list):
+    """(c, e, level): c = U_r'v / 2^e, 2^e the power of two of max|v_i| (``entries``
+    are v's), so the division is exact; level is the degeneracy bar of v / 2^e, for
+    the scaled largest eigenvalue ``top``."""
     # A Python max over the list costs less than numpy calls at ascent sizes.
-    exponent = math.frexp(max(map(abs, vector.tolist())))[1]
+    exponent = math.frexp(max(map(abs, entries)))[1]
     unit = np.ldexp(vector, -exponent)
     level = DEGENERACY_FACTOR * top * math.sqrt(unit.dot(unit))
-    return basis.T @ unit, exponent, level
+    return basis_t @ unit, exponent, level
 
 
-def _reaches(values: np.ndarray, coeffs: np.ndarray, level: float) -> bool:
+def _reaches(values: list, coeffs: np.ndarray, level: float) -> bool:
     """The one degeneracy rule: the operator action |lambda * c| exceeds ``level``."""
-    return math.hypot(*map(mul, values.tolist(), coeffs.tolist())) > level
+    return math.hypot(*map(mul, values, coeffs.tolist())) > level
 
 
 def optimal_direction(
@@ -90,18 +90,27 @@ def optimal_direction(
     degeneracy rule has no reachable component and leaves the free direction.
 
     Each vector is checked once: a shape other than ``(operator.dim,)`` raises
-    ``DimensionMismatchError``, a non-finite entry ``ValueError``.
+    ``DimensionMismatchError``, a non-finite entry ``ValueError``. The solve is
+    ``_solve``, which ``run_ascent`` calls for each step without a result object,
+    so a logged step is this result bit for bit.
     """
-    grad = _as_vector(gradient, operator.dim, "gradient")
+    return DirectionResult(*_solve(operator._modes, gradient, normal))
+
+
+def _solve(modes: tuple, gradient, normal) -> tuple:
+    """The one direction solve on an operator's ``_modes``: the fields of
+    ``optimal_direction``'s result as a tuple (kind, direction, gain, norm)."""
+    values, basis, top, half, value_list, basis_t = modes
+    grad, entries = _vector_entries(gradient, basis.shape[0], "gradient")
     if normal is not None:
-        normal = _as_vector(normal, operator.dim, "normal")
-    values, basis, top, half = operator._modes
-    coeffs, exponent, level = _scaled_coefficients(basis, top, grad)
+        normal, normal_entries = _vector_entries(normal, basis.shape[0], "normal")
+    coeffs, exponent, level = _scaled_coefficients(basis_t, top, grad, entries)
     if normal is not None:
-        normal_coeffs, _, normal_level = _scaled_coefficients(basis, top, normal)
+        normal_coeffs, _, normal_level = _scaled_coefficients(basis_t, top, normal,
+                                                              normal_entries)
         outward = float(normal_coeffs.dot(coeffs / values))
-        if (outward > 0.0 and _reaches(values, coeffs, level)
-                and _reaches(values, normal_coeffs, normal_level)):
+        if (outward > 0.0 and _reaches(value_list, coeffs, level)
+                and _reaches(value_list, normal_coeffs, normal_level)):
             mu = outward / float(normal_coeffs.dot(normal_coeffs / values))
             coeffs = coeffs - mu * normal_coeffs
     # The operator action |lambda * c|, the pseudoinverse action U_r (c / lambda) and its
@@ -111,12 +120,11 @@ def optimal_direction(
     root = math.sqrt(coeffs.dot(scaled))
     in_range = math.frexp(root)[1] + exponent - half <= 1024
     weighted_norm = math.ldexp(root, exponent - half) if in_range else math.inf
-    if not (_reaches(values, coeffs, level) and 0.0 < weighted_norm < math.inf):
-        return DirectionResult(DirectionKind.DEGENERATE, None, 0.0, weighted_norm)
+    if not (_reaches(value_list, coeffs, level) and 0.0 < weighted_norm < math.inf):
+        return DirectionKind.DEGENERATE, None, 0.0, weighted_norm
     direction = basis.dot(scaled / math.ldexp(root, half))
     direction.setflags(write=False)
-    gain = float(grad.dot(direction))
-    return DirectionResult(DirectionKind.OPTIMAL, direction, gain, weighted_norm)
+    return DirectionKind.OPTIMAL, direction, float(grad.dot(direction)), weighted_norm
 
 
 def sample_unit_effort(operator: ConstraintOperator, count: int, rng=None) -> np.ndarray:
@@ -128,7 +136,7 @@ def sample_unit_effort(operator: ConstraintOperator, count: int, rng=None) -> np
     ``ValueError``.
     """
     count = _as_count(count, "count", 1)
-    values, basis, _, half = operator._modes
+    values, basis, _, half, _, _ = operator._modes
     if values.size == 0:
         raise ValueError("the zero operator admits no unit-effort directions")
     generator = np.random.default_rng(rng)

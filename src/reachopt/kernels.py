@@ -112,6 +112,8 @@ def smallest_k_for_error(decomposition: SpectralDecomposition, eps: float) -> in
     if not _as_real(eps, "eps") > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     # A cut meets eps when 1/lambda of its smallest omitted eigenvalue does, the
-    # division op_error makes; 1/lambda ascends along the modes, so those cuts are a prefix.
+    # division op_error makes (inf for a subnormal lambda, as there, without a warning);
+    # 1/lambda ascends along the modes, so those cuts are a prefix.
     rank = decomposition.rank
-    return rank - int(np.count_nonzero(1.0 / decomposition.eigenvalues[:rank] <= eps))
+    with np.errstate(over="ignore"):
+        return rank - int(np.count_nonzero(1.0 / decomposition.eigenvalues[:rank] <= eps))

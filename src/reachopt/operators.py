@@ -47,12 +47,14 @@ class ConstraintOperator:
             start = None
         self._matrix = sym
         self._spectrum = spectrum = decompose(sym, start=start)
-        # (lambda_r / 4^h, U_r, lambda_max / 4^h, h) for direction solves, with 4^h the
-        # even power of two of lambda_max: the division is exact and keeps sqrt exact.
+        # (lambda_r / 4^h, U_r, lambda_max / 4^h, h, lambda_r / 4^h as a list, U_r') for
+        # direction solves, with 4^h the even power of two of lambda_max: the division is
+        # exact and keeps sqrt exact.
         values, rank = spectrum.eigenvalues, spectrum.rank
         half = math.frexp(values[0])[1] // 2
-        self._modes = (np.ldexp(values[:rank], -2 * half), spectrum.eigenvectors[:, :rank],
-                       math.ldexp(values[0], -2 * half), half)
+        scaled, basis = np.ldexp(values[:rank], -2 * half), spectrum.eigenvectors[:, :rank]
+        self._modes = (scaled, basis, math.ldexp(values[0], -2 * half), half, scaled.tolist(),
+                       basis.T)
 
     @property
     def matrix(self) -> SymmetricMatrix:

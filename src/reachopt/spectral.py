@@ -56,13 +56,19 @@ def _as_square_array(entries) -> np.ndarray:
 def _as_vector(values, dim: int | None, name: str) -> np.ndarray:
     """``values`` as a finite float vector of shape ``(dim,)``, or of any nonempty
     length when ``dim`` is None; ``name`` labels the error."""
+    return _vector_entries(values, dim, name)[0]
+
+
+def _vector_entries(values, dim: int | None, name: str) -> tuple[np.ndarray, list]:
+    """``_as_vector`` and its entries as a list of Python floats, read once."""
     vec = np.asarray(values, dtype=float)
     if vec.shape != (dim,) and (dim is not None or vec.ndim != 1 or not vec.size):
         expected = "a nonempty 1-d vector" if dim is None else f"dimension {dim}"
         raise DimensionMismatchError(f"{name} of shape {vec.shape} does not match {expected}")
-    if not all(map(math.isfinite, vec.tolist())):
+    entries = vec.tolist()
+    if not all(map(math.isfinite, entries)):
         raise ValueError(f"{name} entries must be finite")
-    return vec
+    return vec, entries
 
 
 def _as_count(value, name: str, low: int) -> int:

@@ -460,6 +460,85 @@ def _trajectory(record):
     return record.status, points.tobytes(), np.array(numbers).tobytes()
 
 
+def _ending(status):
+    """A short run that ends with ``status``, started from its own ``theta0`` array."""
+    identity = constant_field(np.eye(2))
+    if status == "completed":
+        return quadratic_objective(np.eye(2), [0.3, -0.2]), identity, None, np.zeros(2), 20, 1e-2
+    if status == "degenerate":  # [-1, 0] steps of 1/8 reach the kernel gradient [0, 1] exactly
+        objective = quadratic_objective(np.eye(2), [0.0, 1.0])
+        return objective, mask_field([1, 0]), None, np.array([0.5, 0.0]), 50, 0.125
+    if status == "budget-stall":
+        objective = quadratic_objective(np.diag([0.5, 2.0]), [3.0, 2.0])
+        return objective, identity, spherical_budget(1.0), np.zeros(2), 400, 0.1
+    # A non-finite objective at the second candidate: the run halts on a logged row.
+    objective = Objective(lambda point: math.nan if point[0] > 0.015 else float(point[0]),
+                          lambda point: np.array([1.0, 0.0]))
+    return objective, identity, None, np.zeros(2), 10, 1e-2
+
+
+class TestLoggedIterates:
+    """Rows hold the iterates themselves; the final point is an array of its own."""
+
+    @pytest.mark.parametrize("status", ["completed", "degenerate", "budget-stall", "non-finite"])
+    def test_no_row_shares_its_point_and_the_final_point_is_its_own(self, status):
+        objective, field, budget, theta0, steps, eta = _ending(status)
+        record = run_ascent(objective, field, budget, theta0, steps, eta)
+        assert record.status == status and len(record.steps) > 1
+        points = [row.point for row in record.steps]
+        for i, point in enumerate(points):
+            assert not any(np.shares_memory(point, other) for other in points[i + 1:])
+        for array in points + [theta0]:
+            assert not np.shares_memory(record.final_point, array)
+        logged = [point.copy() for point in points]
+        record.final_point[:] = np.nan
+        assert all(np.array_equal(point, copy) for point, copy in zip(points, logged))
+
+    def test_a_reused_operator_then_one_of_another_dimension_raises_at_that_step(self):
+        small = constant_field(np.eye(2))(None)
+        large = ConstraintOperator(np.eye(3))
+        calls = []
+
+        def field(point):
+            calls.append(point)
+            return small if len(calls) < 4 else large
+
+        objective = quadratic_objective(np.eye(2), [0.5, 0.3])
+        with pytest.raises(DimensionMismatchError, match="operator of dimension 3"):
+            run_ascent(objective, field, None, np.zeros(2), 10, 0.01)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("kappa", [None, 0.05], ids=["free", "budget"])
+    def test_switching_between_prebuilt_operators_logs_the_bytes_of_fresh_objects(
+        self, kappa, tmp_path
+    ):
+        # The same operator object on consecutive steps reuses its modes, a new one
+        # is read afresh; copies built beforehand, one per step, give the same bytes,
+        # and each row is the public direction of its step's operator.
+        rng = np.random.default_rng(30)
+        matrices = [random_psd(rng, 3, 3), random_psd(rng, 3, 2)]
+        pattern = [0, 0, 1, 0, 1, 1, 1, 0] * 5
+        shared = [ConstraintOperator(matrix) for matrix in matrices]
+        fresh = [ConstraintOperator(matrices[which]) for which in pattern]
+        objective = quadratic_objective(np.eye(3), [0.5, 0.7, -0.3])
+        budget = None if kappa is None else spherical_budget(kappa)
+        traces = []
+        for operators in ([shared[which] for which in pattern], fresh):
+            steps = iter(operators)
+            record = run_ascent(objective, lambda point: next(steps), budget, np.zeros(3),
+                                len(pattern), 0.01)
+            assert record.status == "completed"
+            traces.append(_trajectory(record))
+            write_trace_csv(record, tmp_path / "trace.csv")
+            traces.append((tmp_path / "trace.csv").read_bytes())
+        assert traces[:2] == traces[2:]
+        for row, operator in zip(record.steps, fresh):
+            normal = budget.cost_gradient(row.point) if row.budget_active else None
+            result = optimal_direction(operator, objective.gradient(row.point), normal)
+            assert result.kind is row.kind
+            assert result.first_order_gain == row.first_order_gain
+
+
 class TestLoggedStepsMatchThePublicDirection:
     @settings(max_examples=30)
     @given(

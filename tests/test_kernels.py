@@ -242,6 +242,19 @@ class TestSmallestKForError:
             smallest_k_for_error(spectrum_421, float("nan"))
 
 
+    @pytest.mark.parametrize(
+        "eps, k", [(1.0, 2), (1e301, 1), (np.inf, 0), (np.float32(1.0), 2), (5e-324, 2)]
+    )
+    def test_subnormal_eigenvalue_cuts_agree_with_op_error(self, eps, k):
+        # 1/lambda overflows to inf for 1e-309, as in op_error, with no numpy warning
+        # (a warning fails the suite).
+        spectrum = decompose(np.diag([1e-300, 1e-309]))
+        assert spectrum.rank == 2
+        assert smallest_k_for_error(spectrum, eps) == k
+        errors = [truncate(spectrum, j).op_error for j in range(3)]
+        assert errors[0] == np.inf
+        assert k == min(j for j, error in enumerate(errors) if error <= float(eps))
+
 class TestOperatorIntegration:
     def test_kernel_of_operator_spectrum(self, rng):
         op = ConstraintOperator(random_psd(rng, 5, 3))

@@ -226,7 +226,7 @@ def run_ascent(
                 if theta.shape != (operator.dim,):
                     raise DimensionMismatchError(
                         f"operator of dimension {operator.dim} does not match point {theta.shape}")
-                _local.start, modes = operator.spectrum.eigenvectors, operator._modes
+                _local.start, modes = operator.spectrum.eigenvectors, operator.spectrum._modes
                 last = operator
             try:  # the solve checks each vector once, for its shape, then finiteness
                 kind, direction, gain, _ = _solve(modes, grad, normal)

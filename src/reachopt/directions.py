@@ -94,11 +94,11 @@ def optimal_direction(
     ``_solve``, which ``run_ascent`` calls for each step without a result object,
     so a logged step is this result bit for bit.
     """
-    return DirectionResult(*_solve(operator._modes, gradient, normal))
+    return DirectionResult(*_solve(operator.spectrum._modes, gradient, normal))
 
 
 def _solve(modes: tuple, gradient, normal) -> tuple:
-    """The one direction solve on an operator's ``_modes``: the fields of
+    """The one direction solve on a spectrum's ``_modes``: the fields of
     ``optimal_direction``'s result as a tuple (kind, direction, gain, norm)."""
     values, basis, top, half, value_list, basis_t = modes
     grad, entries = _vector_entries(gradient, basis.shape[0], "gradient")
@@ -136,7 +136,7 @@ def sample_unit_effort(operator: ConstraintOperator, count: int, rng=None) -> np
     ``ValueError``.
     """
     count = _as_count(count, "count", 1)
-    values, basis, _, half, _, _ = operator._modes
+    values, basis, _, half, _, _ = operator.spectrum._modes
     if values.size == 0:
         raise ValueError("the zero operator admits no unit-effort directions")
     generator = np.random.default_rng(rng)

@@ -15,12 +15,13 @@ are retained for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import (SpectralDecomposition, SymmetricMatrix, _as_count, _as_real,
-                       _as_vector, _reciprocal_outer_sum)
+                       _reciprocal_outer_sum, _scaled_back, _vector_entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,23 +74,23 @@ class RuleKernel:
     def apply_with_residual(self, gradient) -> tuple[np.ndarray, ResidualReport]:
         """Apply the kernel and report exactly what the truncation dropped.
 
-        Everything comes from the scaled coefficients c / lambda of the
-        gradient in the retained eigenbasis: the kept modes give the kernel
-        action, the omitted ones the residual vector (the full pseudoinverse
-        action minus the kernel action) and the per-mode terms (c / lambda)^2,
-        whose sum is the squared residual norm.
+        Everything comes from the scaled coefficients c / lambda of the gradient in the
+        retained eigenbasis: the kept modes give the kernel action, the omitted ones the
+        residual vector (the full pseudoinverse action minus the kernel action) and the
+        per-mode terms (c / lambda)^2, whose sum is the squared residual norm. All are formed at
+        unit scale and scaled back exactly; one past the float range raises ``ValueError``.
         """
-        spectrum = self.source_spectrum
-        grad = _as_vector(gradient, spectrum.dim, "gradient")
-        rank = spectrum.rank
-        basis = spectrum.eigenvectors[:, :rank]
-        scaled = (basis.T @ grad) / spectrum.eigenvalues[:rank]
-        split = rank - self.k
-        compressed = basis[:, split:] @ scaled[split:]
-        residual = basis[:, :split] @ scaled[:split]
+        values, basis, _, half, _, basis_t = self.source_spectrum._modes
+        grad, entries = _vector_entries(gradient, basis.shape[0], "gradient")
+        exponent = math.frexp(max(map(abs, entries)))[1]
+        scaled = (basis_t @ np.ldexp(grad, -exponent)) / values
+        shift, split = exponent - 2 * half, values.size - self.k
+        compressed = _scaled_back(basis[:, split:] @ scaled[split:], shift, "kernel action")
+        residual = _scaled_back(basis[:, :split] @ scaled[:split], shift, "residual")
         terms = scaled[:split] * scaled[:split]
-        contributions = tuple(zip(range(split), terms.tolist()))
-        return compressed, ResidualReport(residual, float(terms.sum()), contributions)
+        total = _scaled_back(float(terms.sum()), 2 * shift, "squared residual norm")
+        per_mode = np.ldexp(terms, 2 * shift).tolist()  # no term exceeds their sum
+        return compressed, ResidualReport(residual, total, tuple(zip(range(split), per_mode)))
 
 
 def truncate(decomposition: SpectralDecomposition, k: int) -> RuleKernel:

@@ -38,7 +38,7 @@ class ConstraintOperator:
     eigenvectors; any other is decomposed cold.
     """
 
-    __slots__ = ("_matrix", "_spectrum", "_modes")
+    __slots__ = ("_matrix", "_spectrum")
 
     def __init__(self, matrix) -> None:
         sym = matrix if isinstance(matrix, SymmetricMatrix) else SymmetricMatrix(matrix)
@@ -46,15 +46,7 @@ class ConstraintOperator:
         if start is not None and start.shape[0] != sym.dim:
             start = None
         self._matrix = sym
-        self._spectrum = spectrum = decompose(sym, start=start)
-        # (lambda_r / 4^h, U_r, lambda_max / 4^h, h, lambda_r / 4^h as a list, U_r') for
-        # direction solves, with 4^h the even power of two of lambda_max: the division is
-        # exact and keeps sqrt exact.
-        values, rank = spectrum.eigenvalues, spectrum.rank
-        half = math.frexp(values[0])[1] // 2
-        scaled, basis = np.ldexp(values[:rank], -2 * half), spectrum.eigenvectors[:, :rank]
-        self._modes = (scaled, basis, math.ldexp(values[0], -2 * half), half, scaled.tolist(),
-                       basis.T)
+        self._spectrum = decompose(sym, start=start)
 
     @property
     def matrix(self) -> SymmetricMatrix:

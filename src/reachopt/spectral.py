@@ -151,11 +151,19 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @functools.cached_property
+    def _modes(self) -> tuple:
+        """(lambda_r / 4^h, U_r, lambda_max / 4^h, h, lambda_r / 4^h as a list, U_r') on first
+        read; 4^h is lambda_max's even power of two, so division and sqrt stay exact."""
+        values, half = self.eigenvalues, math.frexp(self.eigenvalues[0])[1] // 2
+        scaled, basis = np.ldexp(values[: self.rank], -2 * half), self.eigenvectors[:, : self.rank]
+        return scaled, basis, math.ldexp(values[0], -2 * half), half, scaled.tolist(), basis.T
+
     def pseudoinverse(self) -> SymmetricMatrix:
         """Moore-Penrose pseudoinverse built on the positive spectrum.
 
-        Each retained mode contributes its reciprocal eigenvalue; the kernel
-        contributes nothing, so a rank-0 decomposition yields the zero matrix.
+        Each retained mode adds its reciprocal eigenvalue, the kernel nothing (so rank 0 gives
+        the zero matrix); an entry past the floating-point range raises ``ValueError``.
         """
         return SymmetricMatrix(_reciprocal_outer_sum(self, 0, self.rank))
 
@@ -167,15 +175,21 @@ class SpectralDecomposition:
 
 
 def _reciprocal_outer_sum(spectrum: SpectralDecomposition, start: int, stop: int) -> np.ndarray:
-    """Sum of ``(1/eigenvalue) * u u^T`` over storage indices ``[start, stop)``.
+    """Sum of ``(1/eigenvalue) * u u^T`` over retained modes ``[start, stop)``: ``[0, rank)`` is
+    the pseudoinverse, ``[rank - k, rank)`` its rank-k truncation, bit for bit at k = rank."""
+    values, basis, _, half, _, _ = spectrum._modes
+    basis = basis[:, start:stop]
+    return _scaled_back((basis / values[start:stop]) @ basis.T, -2 * half, "pseudoinverse entry")
 
-    Callers pass positive modes only: the full pseudoinverse ``[0, rank)`` and
-    its rank-k truncations ``[rank - k, rank)``, so that the untruncated case
-    reproduces the pseudoinverse bit for bit.
-    """
-    basis = spectrum.eigenvectors[:, start:stop]
-    weighted = basis / spectrum.eigenvalues[start:stop]
-    return weighted @ basis.T
+
+def _scaled_back(unit, exponent: int, name: str):
+    """``unit * 2**exponent`` (an array or a float), exact unless it underflows: the one range
+    rule for results formed at unit scale. Past the float range, ValueError names the quantity."""
+    scalar = isinstance(unit, float)
+    largest = abs(unit) if scalar else float(abs(unit).max())
+    if largest and math.frexp(largest)[1] + exponent > 1024:
+        raise ValueError(f"{name} overflows the floating-point range")
+    return math.ldexp(unit, exponent) if scalar else np.ldexp(unit, exponent)
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:

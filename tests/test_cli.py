@@ -183,6 +183,21 @@ class TestCompressCommand:
         assert captured.out == ""
         assert "eps must be positive" in captured.err
 
+    def test_subnormal_operator_fails_naming_the_overflow(self, tmp_path, capsys):
+        # 1 / 1e-309 is past the float range: compress names what overflows, with no
+        # numpy warning (the suite turns one into an error); direction still answers.
+        operator = tmp_path / "op.json"
+        operator.write_text(json.dumps({"dim": 2, "entries": [[1e-309, 0.0], [0.0, 2e-309]]}))
+        gradient = tmp_path / "g.json"
+        gradient.write_text(json.dumps([1.0, 1.0]))
+        files = ["--operator", str(operator), "--gradient", str(gradient)]
+        assert main(["compress", *files, "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: kernel action overflows the floating-point range\n"
+        assert main(["direction", *files]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "optimal"
+
 
 class TestThresholdCommand:
     def test_two_cone_threshold(self, cones_file, capsys):

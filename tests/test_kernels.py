@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import reachopt.kernels
 from reachopt import (
@@ -254,6 +257,115 @@ class TestSmallestKForError:
         errors = [truncate(spectrum, j).op_error for j in range(3)]
         assert errors[0] == np.inf
         assert k == min(j for j, error in enumerate(errors) if error <= float(eps))
+
+
+# Operators at the edges of the float range: the diagonal, the gradient, and per k the
+# quantity whose overflow raises (None: every output is finite).
+_EDGE_CASES = {
+    "subnormal": ([1e-309, 2e-309], [1.0, 1.0], ["residual", "kernel action", "kernel action"]),
+    "near-1e300": ([1e300, 2e300], [1.0, 1.0], [None, None, None]),
+    "gradient-1e160": ([1.0, 2.0], [1e160, 1e160],
+                       ["squared residual norm", "squared residual norm", None]),
+}
+
+
+class TestEdgeScales:
+    """Each result is finite, or a ``ValueError`` naming what overflows; no numpy warning
+    escapes (the suite turns one into an error)."""
+
+    @pytest.mark.parametrize("case", list(_EDGE_CASES))
+    def test_apply_with_residual_is_finite_or_names_the_overflow(self, case):
+        diagonal, gradient, overflows = _EDGE_CASES[case]
+        spectrum = decompose(np.diag(diagonal))
+        assert spectrum.rank == 2
+        for k, name in enumerate(overflows):
+            kernel = truncate(spectrum, k)
+            if name is not None:
+                with pytest.raises(ValueError, match=f"^{name} overflows"):
+                    kernel.apply_with_residual(gradient)
+                continue
+            compressed, report = kernel.apply_with_residual(gradient)
+            terms = [term for _, term in report.per_mode_contributions]
+            assert np.isfinite(compressed).all() and np.isfinite(report.residual_vector).all()
+            assert np.isfinite(terms).all() and math.isfinite(report.residual_norm_sq)
+            if k == 2:  # the whole action A+ g: each entry is g / lambda, correctly rounded
+                assert np.array_equal(compressed, np.divide(gradient, diagonal))
+
+    def test_residual_whose_unit_scale_squares_underflow_still_raises(self):
+        # The one coefficient is 5e-163 at unit scale, so its square underflows to 0, yet
+        # the residual is 1e138 / 2e-309 = 5e446: each vector is checked on its own entries.
+        spectrum = decompose(np.diag([2e-309, 0.0]))
+        with pytest.raises(ValueError, match="^residual overflows"):
+            truncate(spectrum, 0).apply_with_residual([1e138, 1e300])
+
+    @pytest.mark.parametrize("case", list(_EDGE_CASES))
+    def test_dense_kernels_are_finite_or_name_the_overflow(self, case):
+        diagonal = _EDGE_CASES[case][0]
+        spectrum = decompose(np.diag(diagonal))
+        subnormal = case == "subnormal"
+        for k in range(3):
+            if subnormal and k:
+                with pytest.raises(ValueError, match="^pseudoinverse entry overflows"):
+                    truncate(spectrum, k).kernel_matrix
+            else:
+                assert np.isfinite(truncate(spectrum, k).kernel_matrix.entries).all()
+        if subnormal:
+            with pytest.raises(ValueError, match="^pseudoinverse entry overflows"):
+                spectrum.pseudoinverse()
+        else:
+            expected = np.diag(np.divide(1.0, diagonal))
+            assert np.array_equal(spectrum.pseudoinverse().entries, expected)
+
+    @pytest.mark.parametrize("case", list(_EDGE_CASES))
+    def test_op_error_and_smallest_k_agree(self, case):
+        diagonal = _EDGE_CASES[case][0]
+        spectrum = decompose(np.diag(diagonal))
+        errors = [truncate(spectrum, k).op_error for k in range(3)]
+        if case == "subnormal":
+            assert errors == [math.inf, 1.0 / 2e-309, 0.0]  # inf is op_error's documented value
+        for eps in (1e-300, 1.0, 1e308, math.inf):
+            expected = min(k for k, error in enumerate(errors) if error <= eps)
+            assert smallest_k_for_error(spectrum, eps) == expected
+
+
+def _normal_or_zero(values: np.ndarray) -> np.ndarray:
+    return (values == 0.0) | (np.abs(values) >= np.finfo(float).tiny)
+
+
+def _assert_scaled_by(scaled, base, exponent):
+    """``scaled == base * 2**exponent`` wherever both sides are normal floats."""
+    scaled, base = np.asarray(scaled, dtype=float), np.asarray(base, dtype=float)
+    expected = np.ldexp(base, exponent)
+    kept = _normal_or_zero(base) & _normal_or_zero(expected)
+    assert kept.any() or not base.size
+    assert np.array_equal(scaled[kept], expected[kept])
+
+
+class TestPowerOfTwoScaling:
+    """A times 4^j or g times 2^e moves every kernel output by the matching exact power
+    of two: Jacobi scales only the eigenvalues, and the kernels divide at unit scale."""
+
+    @given(rank_deficient_psd(), st.integers(-120, 120), st.integers(-200, 200),
+           st.integers(0, 2**32 - 1))
+    def test_outputs_scale_exactly(self, drawn, j, e, seed):
+        matrix, rank = drawn
+        gradient = np.random.default_rng(seed).standard_normal(matrix.shape[0])
+        base, scaled = decompose(matrix), decompose(np.ldexp(matrix, 2 * j))
+        assert np.array_equal(scaled.eigenvalues, np.ldexp(base.eigenvalues, 2 * j))
+        _assert_scaled_by(scaled.pseudoinverse().entries, base.pseudoinverse().entries, -2 * j)
+        for k in range(rank + 1):
+            kernel, moved = truncate(base, k), truncate(scaled, k)
+            _assert_scaled_by(moved.kernel_matrix.entries, kernel.kernel_matrix.entries, -2 * j)
+            before = kernel.apply_with_residual(gradient)
+            for after, shift in ((moved.apply_with_residual(gradient), -2 * j),
+                                 (kernel.apply_with_residual(np.ldexp(gradient, e)), e)):
+                _assert_scaled_by(after[0], before[0], shift)
+                _assert_scaled_by(after[1].residual_vector, before[1].residual_vector, shift)
+                _assert_scaled_by(after[1].residual_norm_sq, before[1].residual_norm_sq,
+                                  2 * shift)
+                _assert_scaled_by([t for _, t in after[1].per_mode_contributions],
+                                  [t for _, t in before[1].per_mode_contributions], 2 * shift)
+
 
 class TestOperatorIntegration:
     def test_kernel_of_operator_spectrum(self, rng):

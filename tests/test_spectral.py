@@ -396,6 +396,39 @@ def test_bits_identical_across_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+_CORE_HASH_SCRIPT = """
+import hashlib
+
+import numpy as np
+from reachopt import decompose
+
+for dim in (3, 8, 12):
+    factor = np.random.default_rng(dim).integers(-3, 4, size=(dim + 1, dim))
+    dec = decompose((factor.T @ factor).astype(float))
+    print(dim, hashlib.sha256(dec.eigenvalues.tobytes() + dec.eigenvectors.tobytes()).hexdigest())
+"""
+
+
+def test_decompose_bits_identical_across_blas_cores():
+    # The cross-machine part of the determinism contract: OpenBLAS picks its kernels per
+    # CPU, and OPENBLAS_CORETYPE makes one machine pick another CPU's. Jacobi calls no
+    # BLAS, so decompose keeps its bits; OPENBLAS_VERBOSE=2 reports the core in use.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join((str(tests.parent / "src"), str(tests)))
+    cores, outputs = [], []
+    for core in ("Haswell", "Prescott"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2",
+                   OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        result = subprocess.run([sys.executable, "-c", _CORE_HASH_SCRIPT], env=env,
+                                capture_output=True, text=True, check=True, timeout=120)
+        cores.append([line for line in result.stderr.splitlines() if line.startswith("Core:")])
+        outputs.append(result.stdout)
+    if not cores[0] or cores[0] == cores[1]:
+        pytest.skip(f"OPENBLAS_CORETYPE chose no other BLAS core here: {cores}")
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
+
+
 class TestWarmStart:
     """Jacobi started from a nearby eigenbasis, against the cold solver."""
 
